@@ -57,6 +57,37 @@ _SENSOR_KINDS = (
     CalibrationStepFault,
 )
 
+#: Most steps of one stochastic sensor fault that
+#: :class:`FleetFaultInjector` draws per member in a single call (the
+#: fused fleet group's chunk length), bounding the pre-drawn block.
+REPLAY_BLOCK_STEPS = 512
+
+
+def sensor_fault_masks(
+    plan: FaultPlan, n_cores: int, units: Sequence[str]
+) -> Dict[int, np.ndarray]:
+    """Channel-selection masks of ``plan``'s sensor faults, by plan index.
+
+    Each mask is a read-only ``(n_cores, len(units))`` boolean array
+    marking the channels the fault targets. A pure function of its
+    inputs, so every run of one plan on one chip can share the result.
+    """
+    units = tuple(units)
+    plan.validate_targets(n_cores, units)
+    masks: Dict[int, np.ndarray] = {}
+    for i, fault in enumerate(plan.faults):
+        if not isinstance(fault, _SENSOR_KINDS):
+            continue
+        mask = np.zeros((n_cores, len(units)), dtype=bool)
+        rows = slice(None) if fault.core is None else fault.core
+        if fault.unit is None:
+            mask[rows, :] = True
+        else:
+            mask[rows, units.index(fault.unit)] = True
+        mask.flags.writeable = False
+        masks[i] = mask
+    return masks
+
 
 class FaultInjector:
     """Applies one :class:`FaultPlan` to one run, deterministically.
@@ -73,6 +104,9 @@ class FaultInjector:
         The run's root seed; per-fault streams derive from it.
     event_log:
         Optional event capture; never influences injection.
+    masks:
+        Precomputed :func:`sensor_fault_masks` of ``plan`` on this chip;
+        computed here when omitted.
     """
 
     def __init__(
@@ -82,6 +116,7 @@ class FaultInjector:
         units: Sequence[str],
         seed: int,
         event_log: Optional[RunEventLog] = None,
+        masks: Optional[Dict[int, np.ndarray]] = None,
     ):
         """Validate targets and derive one RNG stream per stochastic fault."""
         plan.validate_targets(n_cores, tuple(units))
@@ -111,15 +146,11 @@ class FaultInjector:
                 self._migration_faults.append((i, fault))
 
         # Channel-selection masks (n_cores, n_units), one per sensor fault.
-        self._masks: Dict[int, np.ndarray] = {}
-        for i, fault in self._sensor_faults:
-            mask = np.zeros((n_cores, len(self.units)), dtype=bool)
-            rows = slice(None) if fault.core is None else fault.core
-            if fault.unit is None:
-                mask[rows, :] = True
-            else:
-                mask[rows, self.units.index(fault.unit)] = True
-            self._masks[i] = mask
+        self._masks: Dict[int, np.ndarray] = (
+            masks
+            if masks is not None
+            else sensor_fault_masks(plan, n_cores, self.units)
+        )
 
         # Last *delivered* reading per channel (post-fault), the substrate
         # for stuck-at-last-value latching and last-good dropout.
@@ -325,9 +356,15 @@ class FleetFaultInjector:
     ``RngStream`` (keyed by run seed and plan index), and the scalar
     injector draws exactly one ``uniform(size=(cores, units))`` matrix
     per active stochastic fault per step. This class replays those same
-    streams — per step, per member (ascending row order), per fault in
-    plan order — so each member's draw *sequence* is identical to its
-    scalar run by construction; the streams are mutually independent, so
+    streams in blocks: for each member and stochastic sensor fault, one
+    ``uniform(size=(k, cores, units))`` call draws the next ``k`` active
+    steps' matrices at once, where ``k`` counts the steps at which the
+    fault is active within that member's horizon, at most
+    :data:`REPLAY_BLOCK_STEPS` per block. A block draw fills its output
+    in C order from the same stream, so it equals ``k`` sequential
+    draws value for value and leaves the generator in the same state;
+    each member therefore draws exactly its scalar run's sequence, no
+    more and no less. The streams are mutually independent, so
     interleaving them across members cannot change any member's values.
     Only the mask/latch/drift/spike *transforms* are vectorised, over
     the ``(members, cores, units)`` stack, and each is elementwise
@@ -345,12 +382,27 @@ class FleetFaultInjector:
     :meth:`FaultInjector.dvfs_request` / ``migration_request`` at the
     same decision points the scalar engine would, so those counters and
     streams advance on the real objects directly.
+
+    Args:
+        injectors: The cohort's real scalar injectors, in fleet row order.
+        horizons: Each member's step count, non-increasing (the fleet
+            sorts lockstep members by descending horizon).
+        dt: Step length (s); step ``s`` reads sensors at ``s * dt``.
     """
 
-    def __init__(self, injectors: Sequence[FaultInjector]):
+    def __init__(
+        self,
+        injectors: Sequence[FaultInjector],
+        horizons: Sequence[int],
+        dt: float,
+    ):
         """Wrap one cohort; all injectors must share an equal plan."""
         if not injectors:
             raise ValueError("fault cohort must contain at least one member")
+        if len(horizons) != len(injectors):
+            raise ValueError("horizons must have one entry per injector")
+        if any(a < b for a, b in zip(horizons, horizons[1:])):
+            raise ValueError("horizons must be non-increasing")
         self.injectors = list(injectors)
         base = self.injectors[0]
         for inj in self.injectors[1:]:
@@ -360,8 +412,29 @@ class FleetFaultInjector:
                 )
         self.n = len(self.injectors)
         self.plan = base.plan
+        self.dt = dt
+        self.horizons = [int(h) for h in horizons]
         self._sensor_faults = base._sensor_faults
         self._masks = base._masks
+        self._n_sel = {i: int(m.sum()) for i, m in self._masks.items()}
+        # Activation per step over the longest horizon, evaluated at the
+        # exact instants the fleet loop passes, plus running counts of
+        # active steps for sizing replay blocks.
+        steps = range(self.horizons[0])
+        self._active: Dict[int, List[bool]] = {}
+        self._active_before: Dict[int, np.ndarray] = {}
+        for i, fault in self._sensor_faults:
+            active = [fault.active(s * dt) for s in steps]
+            self._active[i] = active
+            self._active_before[i] = np.concatenate(
+                ([0], np.cumsum(active, dtype=np.int64))
+            )
+        # Replay blocks of stochastic faults: per-step hit masks
+        # (k, block, cores, units), their per-step hit counts, and the
+        # cursor of the next unread step.
+        self._hits: Dict[int, np.ndarray] = {}
+        self._hit_counts: Dict[int, np.ndarray] = {}
+        self._cursor: Dict[int, int] = {}
         shape = (self.n, base.n_cores, len(base.units))
         self._last_output = np.zeros(shape)
         self._has_last = False
@@ -370,22 +443,52 @@ class FleetFaultInjector:
         #: injectors, never read directly by consumers).
         self.sensor_faulted_samples = np.zeros(self.n, dtype=np.int64)
 
-    def apply_sensor_faults(self, time_s: float, temps: np.ndarray) -> np.ndarray:
+    def _replay(self, i: int, fault, step: int, k: int):
+        """This step's hit mask and hit counts of stochastic fault ``i``.
+
+        Draws the next block from each live member's own stream when the
+        current one is used up.
+        """
+        cursor = self._cursor.get(i)
+        hits = self._hits.get(i)
+        if hits is None or cursor == hits.shape[1]:
+            before = self._active_before[i]
+            mask = self._masks[i]
+            sizes = [
+                min(REPLAY_BLOCK_STEPS, int(before[h] - before[step]))
+                for h in self.horizons[:k]
+            ]
+            # Only the boolean hits are kept; rows past a member's own
+            # block size are never read (it retires or the window ends).
+            hits = np.zeros((k, sizes[0]) + mask.shape, dtype=bool)
+            for j, size in enumerate(sizes):
+                draws = self.injectors[j]._rng[i].uniform(
+                    size=(size,) + mask.shape
+                )
+                np.logical_and(mask, draws < fault.prob, out=hits[j, :size])
+            self._hits[i] = hits
+            self._hit_counts[i] = hits.reshape(k, sizes[0], -1).sum(axis=2)
+            cursor = 0
+        self._cursor[i] = cursor + 1
+        return hits[:k, cursor], self._hit_counts[i][:k, cursor]
+
+    def apply_sensor_faults(self, step: int, temps: np.ndarray) -> np.ndarray:
         """Transform one step's stacked sensor matrices; returns a new array.
 
-        ``temps`` is the ``(k, n_cores, n_units)`` stack for the
-        cohort's first ``k`` (still-alive) members; rows beyond ``k``
-        retired and stop drawing, exactly as their finished scalar runs
-        would have.
+        ``temps`` is the ``(k, n_cores, n_units)`` stack read at
+        ``step * dt`` for the cohort's first ``k`` (still-alive)
+        members; rows beyond ``k`` retired and stop drawing, exactly as
+        their finished scalar runs would have.
         """
         k = temps.shape[0]
+        time_s = step * self.dt
         out = np.array(temps, dtype=float, copy=True)
         counts = self.sensor_faulted_samples
         for i, fault in self._sensor_faults:
-            if not fault.active(time_s):
+            if not self._active[i][step]:
                 continue
             mask = self._masks[i]
-            n_sel = int(mask.sum())
+            n_sel = self._n_sel[i]
             if isinstance(fault, StuckAtFault):
                 if i not in self._latches:
                     latch = np.zeros(self._last_output.shape)
@@ -400,34 +503,23 @@ class FleetFaultInjector:
             elif isinstance(fault, DropoutFault):
                 if fault.prob >= 1.0:
                     dropped = np.broadcast_to(mask[None], out.shape)
+                    n_dropped = n_sel
                 else:
-                    draws = np.stack(
-                        [
-                            inj._rng[i].uniform(size=mask.shape)
-                            for inj in self.injectors[:k]
-                        ]
-                    )
-                    dropped = mask[None] & (draws < fault.prob)
+                    dropped, n_dropped = self._replay(i, fault, step, k)
                 if fault.mode == "nan":
                     out[dropped] = np.nan
-                    counts[:k] += dropped.reshape(k, -1).sum(axis=1)
+                    counts[:k] += n_dropped
                 elif self._has_last:
                     out[dropped] = self._last_output[:k][dropped]
-                    counts[:k] += dropped.reshape(k, -1).sum(axis=1)
+                    counts[:k] += n_dropped
                 # else: very first read — passes through, not counted.
             elif isinstance(fault, DriftFault):
                 out[:, mask] += fault.rate_c_per_s * (time_s - fault.start_s)
                 counts[:k] += n_sel
             elif isinstance(fault, SpikeFault):
-                draws = np.stack(
-                    [
-                        inj._rng[i].uniform(size=mask.shape)
-                        for inj in self.injectors[:k]
-                    ]
-                )
-                spiking = mask[None] & (draws < fault.prob)
+                spiking, n_spiking = self._replay(i, fault, step, k)
                 out[spiking] += fault.magnitude_c
-                counts[:k] += spiking.reshape(k, -1).sum(axis=1)
+                counts[:k] += n_spiking
             else:
                 assert isinstance(fault, CalibrationStepFault)
                 out[:, mask] += fault.offset_c
@@ -448,4 +540,9 @@ class FleetFaultInjector:
             self.flush(j)
 
 
-__all__ = ["FaultInjector", "FleetFaultInjector", "FaultSummary"]
+__all__ = [
+    "FaultInjector",
+    "FleetFaultInjector",
+    "FaultSummary",
+    "sensor_fault_masks",
+]

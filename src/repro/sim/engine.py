@@ -24,7 +24,8 @@ OS migration loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,7 +37,7 @@ from repro.core.sensor_migration import SensorBasedMigration
 from repro.core.stopgo import StopGoPolicy
 from repro.core.taxonomy import PolicySpec, build_policy
 from repro.faults.guards import GuardConfig, SensorGuardBank
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import FaultInjector, sensor_fault_masks
 from repro.faults.models import FaultPlan, FaultSummary
 from repro.osmodel.process import Process
 from repro.osmodel.scheduler import Scheduler
@@ -56,8 +57,9 @@ from repro.thermal.layouts import (
     core_block_name,
 )
 from repro.thermal.coupling import LeakageCouplingError, coupled_steady_state
-from repro.thermal.leakage import LeakageModel
+from repro.thermal.leakage import LeakageModel, block_leakage_weights
 from repro.thermal.model import ThermalKernel, ThermalModel
+from repro.thermal.rc_network import RCNetwork
 from repro.thermal.package import HIGH_PERFORMANCE_PACKAGE, ThermalPackage
 from repro.uarch.config import MachineConfig
 from repro.uarch.interval_model import UNIT_ORDER
@@ -76,6 +78,10 @@ from repro.util.rng import DEFAULT_ROOT_SEED, RngStream
 #: tau * dT/dt, capturing both equilibrium level and transient trend.
 GRADIENT_TAU_S = 0.010
 
+#: The paper's machine, one frozen instance shared by every default
+#: config, so sweeps of default configs share it by identity.
+_DEFAULT_MACHINE = MachineConfig()
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -88,7 +94,7 @@ class SimulationConfig:
     duration_s: float = 0.5
     threshold_c: float = DEFAULT_THRESHOLD_C
     seed: int = DEFAULT_ROOT_SEED
-    machine: MachineConfig = field(default_factory=MachineConfig)
+    machine: MachineConfig = _DEFAULT_MACHINE
     package: ThermalPackage = HIGH_PERFORMANCE_PACKAGE
     trace_duration_s: float = 0.25
     #: Fraction of trace-mean power used for the warm-start steady state;
@@ -242,8 +248,8 @@ class ThermalTimingSimulator:
         self.n_cores = machine.n_cores
 
         # Substrates. A shared EngineSubstrate supplies the identical
-        # floorplan/kernel/trace objects this block would otherwise
-        # build from scratch.
+        # floorplan/kernel/layout/trace objects this block would
+        # otherwise build from scratch.
         self._substrate = substrate
         if substrate is not None:
             substrate.check(self.config)
@@ -251,6 +257,7 @@ class ThermalTimingSimulator:
             self.thermal = ThermalModel(
                 self.floorplan, substrate.package, self.dt, kernel=substrate.kernel
             )
+            layout = substrate.layout
         else:
             scenario = self.config.scenario
             self.floorplan = (
@@ -261,6 +268,7 @@ class ThermalTimingSimulator:
                 )
             )
             self.thermal = ThermalModel(self.floorplan, self.config.package, self.dt)
+            layout = _ChipLayout(self.floorplan, self.thermal.network, self.n_cores)
         power_model = PowerModel(machine, scale=self.config.power_scale)
         scenario = self.config.scenario
         if scenario is not None:
@@ -269,10 +277,13 @@ class ThermalTimingSimulator:
                 power_model.reference_leakage_w,
                 beta=scenario.tech.leakage_beta,
                 t_ref_c=scenario.tech.leakage_t_ref_c,
+                weights=layout.leakage_weights,
             )
         else:
             self.leakage = LeakageModel(
-                self.floorplan, power_model.reference_leakage_w
+                self.floorplan,
+                power_model.reference_leakage_w,
+                weights=layout.leakage_weights,
             )
         self._power_model = power_model
 
@@ -344,6 +355,11 @@ class ThermalTimingSimulator:
                 units=HOTSPOT_UNITS,
                 seed=self.config.seed,
                 event_log=event_log,
+                masks=(
+                    substrate.fault_masks(plan)
+                    if substrate is not None
+                    else None
+                ),
             )
             for c, actuator in enumerate(self.actuators):
                 actuator.fault_gate = self._faults.dvfs_gate_for(c)
@@ -359,30 +375,13 @@ class ThermalTimingSimulator:
             else None
         )
 
-        # Precomputed indices into the thermal network.
-        net = self.thermal.network
-        self._core_unit_idx = np.array(
-            [
-                [net.index(core_block_name(c, u)) for u in UNIT_ORDER]
-                for c in range(self.n_cores)
-            ],
-            dtype=int,
-        )
-        self._hotspot_idx = np.array(
-            [
-                [net.index(core_block_name(c, u)) for u in HOTSPOT_UNITS]
-                for c in range(self.n_cores)
-            ],
-            dtype=int,
-        )
-        self._l2_idx = np.array(
-            [net.index(f"l2_{c}") for c in range(self.n_cores)], dtype=int
-        )
-        self._xbar_idx = net.index("xbar")
-        # Ownership of blocks by core (-1 = shared), for leakage V^2 scaling.
-        self._block_core = np.full(net.n_blocks, -1, dtype=int)
-        for c in range(self.n_cores):
-            self._block_core[self._core_unit_idx[c]] = c
+        # Precomputed (read-only, possibly shared) indices into the
+        # thermal network; see _ChipLayout.
+        self._core_unit_idx = layout.core_unit_idx
+        self._hotspot_idx = layout.hotspot_idx
+        self._unit_flat = layout.unit_flat
+        self._l2_idx_list = layout.l2_idx
+        self._xbar_i = layout.xbar_i
 
         # Mutable run state. Stall deadlines live in a plain list: the
         # step loop reads one scalar per core per step, and list indexing
@@ -391,7 +390,6 @@ class ThermalTimingSimulator:
         self._prochot_until = 0.0
         #: Hardware-trip activations over the run (0 unless enabled).
         self.prochot_events = 0
-        self._sensor_rng = RngStream(self.config.seed, "sensors", *self.benchmarks)
         self._window = _TrendWindow(self.n_cores, len(HOTSPOT_UNITS))
         #: Metrics of the most recent :meth:`run` (set when it completes).
         self.metrics: Optional[MetricsAccumulator] = None
@@ -405,18 +403,9 @@ class ThermalTimingSimulator:
 
         # Hot-path scratch buffers, reused every step. The step loop
         # writes every element of the power buffer each step (the three
-        # index families partition the block set — checked here), so no
-        # per-step zeroing is needed.
-        self._unit_flat = self._core_unit_idx.reshape(-1)
-        self._l2_idx_list = [int(i) for i in self._l2_idx]
-        self._xbar_i = int(self._xbar_idx)
-        covered = sorted(
-            self._unit_flat.tolist() + self._l2_idx_list + [self._xbar_i]
-        )
-        if covered != list(range(net.n_blocks)):
-            raise RuntimeError(
-                "power indices do not partition the floorplan blocks"
-            )
+        # index families partition the block set — checked by
+        # _ChipLayout), so no per-step zeroing is needed.
+        net = self.thermal.network
         n_units = len(UNIT_ORDER)
         self._power_buf = np.zeros(net.n_blocks)
         self._unit_pw_buf = np.empty((self.n_cores, n_units))
@@ -475,6 +464,15 @@ class ThermalTimingSimulator:
 
     # -- helpers -----------------------------------------------------------
 
+    @cached_property
+    def _sensor_rng(self) -> RngStream:
+        """The per-chip sensor-noise stream, derived on first use.
+
+        Only noisy runs draw from it, so quiet runs never pay for the
+        seed derivation; the stream is the same whenever it is created.
+        """
+        return RngStream(self.config.seed, "sensors", *self.benchmarks)
+
     def _read_sensors(self, t: float = 0.0) -> List[Dict[str, float]]:
         """Per-core hotspot sensor readings (optionally degraded)."""
         temps = self.thermal.temperatures[self._hotspot_idx]  # (n_cores, 2)
@@ -512,10 +510,10 @@ class ThermalTimingSimulator:
             aux = self._trace_aux[self.scheduler.process_on(c).pid]
             p[self._core_unit_idx[c]] = aux.unit_power_mean * frac
             act = aux.l2_activity_mean * frac
-            p[self._l2_idx[c]] = self.config.power_scale * L2_BANK_PEAK_W * (
+            p[self._l2_idx_list[c]] = self.config.power_scale * L2_BANK_PEAK_W * (
                 L2_IDLE_FRACTION + (1 - L2_IDLE_FRACTION) * act
             )
-        p[self._xbar_idx] = self.config.power_scale * XBAR_PEAK_W * XBAR_IDLE_FRACTION
+        p[self._xbar_i] = self.config.power_scale * XBAR_PEAK_W * XBAR_IDLE_FRACTION
         return p
 
     def _warm_temps(self, frac: float) -> np.ndarray:
@@ -1452,24 +1450,94 @@ class _SeriesRecorder:
         )
 
 
+class _ChipLayout:
+    """Where each core's power lands in one chip's thermal network.
+
+    Index arrays into the network and the leakage weights of the
+    floorplan: pure functions of the floorplan and core count, built
+    once per :class:`EngineSubstrate` and shared by every simulator on
+    it. A standalone simulator builds its own through this same
+    constructor. Every array is read-only (``flags.writeable`` is
+    off), so no simulator can perturb another's through a shared one.
+    """
+
+    __slots__ = (
+        "core_unit_idx",
+        "hotspot_idx",
+        "unit_flat",
+        "l2_idx",
+        "xbar_i",
+        "leakage_weights",
+    )
+
+    def __init__(self, floorplan, network: RCNetwork, n_cores: int):
+        """Resolve block names to network indices; check the partition."""
+        index = network.index
+        #: (n_cores, n_units) block index of every core unit.
+        self.core_unit_idx = np.array(
+            [
+                [index(core_block_name(c, u)) for u in UNIT_ORDER]
+                for c in range(n_cores)
+            ],
+            dtype=int,
+        )
+        #: (n_cores, n_hotspots) block index of every sensed unit.
+        self.hotspot_idx = np.array(
+            [
+                [index(core_block_name(c, u)) for u in HOTSPOT_UNITS]
+                for c in range(n_cores)
+            ],
+            dtype=int,
+        )
+        self.unit_flat = self.core_unit_idx.reshape(-1)
+        #: Per-core L2 bank block index (plain ints for the step loop).
+        self.l2_idx = tuple(index(f"l2_{c}") for c in range(n_cores))
+        self.xbar_i = index("xbar")
+        # The step loops overwrite every element of their power buffers
+        # each step, which is only sound if the three index families
+        # partition the block set.
+        covered = sorted(
+            self.unit_flat.tolist() + list(self.l2_idx) + [self.xbar_i]
+        )
+        if covered != list(range(network.n_blocks)):
+            raise RuntimeError(
+                "power indices do not partition the floorplan blocks"
+            )
+        for arr in (self.core_unit_idx, self.hotspot_idx, self.unit_flat):
+            arr.flags.writeable = False
+        self.leakage_weights = block_leakage_weights(floorplan)
+
+
 class EngineSubstrate:
     """Shared construction-time substrate for many simulators of one chip.
 
     Holds everything about a simulator that is a pure deterministic
-    function of the machine description rather than of any one run: the
-    floorplan, the factored :class:`~repro.thermal.model.ThermalKernel`
-    (network + LU + propagator cache), and a cache of generated power
-    traces with their :class:`_TraceAux` hot-loop views. Building N
-    simulators on one substrate pays for ``expm`` and trace synthesis
-    once instead of N times; because every cached artifact is
-    deterministic in its key, substrate-built simulators are
-    bit-identical to standalone ones.
+    function of the machine description rather than of any one run, so
+    a simulator built on it costs little beyond its own run state:
+
+    * the floorplan and the factored
+      :class:`~repro.thermal.model.ThermalKernel` (network + LU +
+      propagator cache), so ``expm`` runs once, not per simulator;
+    * the chip layout (:attr:`layout`): the network index arrays of
+      core units, hotspot sensors, L2 banks and crossbar (with the
+      check that they partition the blocks), and the floorplan's
+      leakage area x density weights and their sum;
+    * the sensor-fault channel masks of each fault plan
+      (:meth:`fault_masks`);
+    * generated power traces with their :class:`_TraceAux` hot-loop
+      views (:meth:`trace`, :meth:`trace_aux`).
+
+    Shared arrays are read-only: ``flags.writeable`` is off, so a write
+    through any simulator raises instead of silently changing its
+    neighbours. Because every shared artifact is deterministic in its
+    key, substrate-built simulators are bit-identical to standalone
+    ones, which build the same parts through the same helpers.
 
     A substrate is compatible with a :class:`SimulationConfig` iff the
     machine, package, core sizes and scenario agree (:meth:`matches`);
     per-run knobs (duration, threshold, seed, power scale, trace
-    duration) vary freely — traces are cached per (benchmark, trace
-    duration, seed, effective power scale).
+    duration, fault plan) vary freely — traces are cached per
+    (benchmark, trace duration, seed, effective power scale).
     """
 
     def __init__(
@@ -1480,7 +1548,7 @@ class EngineSubstrate:
         scenario: Optional[Scenario] = None,
     ):
         """Build the floorplan and factor the thermal kernel once."""
-        self.machine = machine if machine is not None else MachineConfig()
+        self.machine = machine if machine is not None else _DEFAULT_MACHINE
         self.package = package
         self.core_sizes_mm = core_sizes_mm
         self.scenario = scenario
@@ -1494,8 +1562,15 @@ class EngineSubstrate:
         self.kernel = ThermalKernel(self.floorplan, package)
         # Pre-warm the propagator every simulator on this machine needs.
         self.kernel.operator_for(self.machine.sample_period_s)
+        self.layout = _ChipLayout(
+            self.floorplan, self.kernel.network, self.machine.n_cores
+        )
         self._traces: Dict[tuple, object] = {}
+        # Hot-loop views of the cached traces, by trace id. Only traces
+        # held in _traces get an entry, and those live as long as the
+        # substrate, so an id here can never be reused by another trace.
         self._aux: Dict[int, _TraceAux] = {}
+        self._fault_masks: Dict[FaultPlan, Dict[int, np.ndarray]] = {}
 
     @classmethod
     def for_config(cls, config: SimulationConfig) -> "EngineSubstrate":
@@ -1509,11 +1584,14 @@ class EngineSubstrate:
 
     def matches(self, config: SimulationConfig) -> bool:
         """Whether this substrate can build simulators for ``config``."""
-        return (
-            config.machine == self.machine
-            and config.package == self.package
-            and config.core_sizes_mm == self.core_sizes_mm
-            and config.scenario == self.scenario
+        return all(
+            mine is theirs or mine == theirs
+            for mine, theirs in (
+                (self.machine, config.machine),
+                (self.package, config.package),
+                (self.core_sizes_mm, config.core_sizes_mm),
+                (self.scenario, config.scenario),
+            )
         )
 
     def check(self, config: SimulationConfig) -> None:
@@ -1559,15 +1637,27 @@ class EngineSubstrate:
                 power_scale=scale,
             )
             self._traces[key] = trace
+            self._aux[id(trace)] = _TraceAux(trace)
         return trace
 
     def trace_aux(self, trace) -> _TraceAux:
-        """The (cached) hot-loop view of a trace produced by :meth:`trace`."""
+        """The hot-loop view of a trace produced by :meth:`trace`.
+
+        Cached for the traces the substrate caches; a trace of a profile
+        object is not cached, so its view is built afresh.
+        """
         aux = self._aux.get(id(trace))
-        if aux is None:
-            aux = _TraceAux(trace)
-            self._aux[id(trace)] = aux
-        return aux
+        return aux if aux is not None else _TraceAux(trace)
+
+    def fault_masks(self, plan: FaultPlan) -> Dict[int, np.ndarray]:
+        """The (cached, read-only) sensor-fault channel masks of ``plan``."""
+        masks = self._fault_masks.get(plan)
+        if masks is None:
+            masks = sensor_fault_masks(
+                plan, self.machine.n_cores, HOTSPOT_UNITS
+            )
+            self._fault_masks[plan] = masks
+        return masks
 
 
 def run_workload(

@@ -209,6 +209,7 @@ class FleetEngine:
         self._substrates: Dict[tuple, EngineSubstrate] = (
             substrates if substrates is not None else {}
         )
+        self._by_identity: Dict[tuple, Tuple[tuple, EngineSubstrate]] = {}
         self.members: List[_Member] = []
         for i, (workload, spec, config) in enumerate(parsed):
             substrate = self._substrate_for(config)
@@ -236,17 +237,30 @@ class FleetEngine:
         The key carries the scenario, so a batch mixing chip scenarios
         (e.g. a mesh16 sweep next to a biglittle4+4 sweep) builds one
         ThermalKernel per scenario and groups members accordingly.
+
+        Sweeps share their machine description objects (default configs
+        share one frozen ``MachineConfig``), so a lookup by the identity
+        of those objects comes first; only an unseen combination pays
+        for the ``repr`` of the whole machine tree. The identity memo
+        keeps the objects alive, so their ids cannot be reused while
+        the engine exists.
         """
-        key = (
-            repr(config.machine),
-            repr(config.package),
-            repr(config.core_sizes_mm),
-            repr(config.scenario),
+        parts = (
+            config.machine,
+            config.package,
+            config.core_sizes_mm,
+            config.scenario,
         )
+        ident = tuple(map(id, parts))
+        hit = self._by_identity.get(ident)
+        if hit is not None:
+            return hit[1]
+        key = tuple(map(repr, parts))
         substrate = self._substrates.get(key)
         if substrate is None:
             substrate = EngineSubstrate.for_config(config)
             self._substrates[key] = substrate
+        self._by_identity[ident] = (parts, substrate)
         return substrate
 
     def _warm_key(self, member: _Member) -> tuple:
@@ -560,7 +574,11 @@ class _StepwiseGroup(_GroupBase):
         self.fault_cohorts: List[Tuple[np.ndarray, FleetFaultInjector]] = [
             (
                 np.asarray(rows, dtype=np.int64),
-                FleetFaultInjector([sims[i]._faults for i in rows]),
+                FleetFaultInjector(
+                    [sims[i]._faults for i in rows],
+                    [self.n_steps[i] for i in rows],
+                    self.dt,
+                ),
             )
             for rows in by_plan.values()
         ]
@@ -841,7 +859,7 @@ class _StepwiseGroup(_GroupBase):
                     mc = int(np.searchsorted(rows, m))
                     if mc:
                         r = rows[:mc]
-                        sens[r] = finj.apply_sensor_faults(t, sens[r])
+                        sens[r] = finj.apply_sensor_faults(step, sens[r])
                 if throttled:
                     # Hottest-unit fold written as the scalar's Python
                     # ``max(r0, r1)`` (second wins only when strictly

@@ -83,7 +83,20 @@ EVICTION_PRESSURE_WINDOW_S = 60.0
 # ---------------------------------------------------------------------------
 
 
-def canonicalize(obj) -> object:
+#: Field names of each dataclass type canonicalized so far, in
+#: declaration order (``dataclasses.fields`` rebuilds this every call).
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
+def _field_names(cls: type) -> Tuple[str, ...]:
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = tuple(f.name for f in dataclasses.fields(cls))
+        _FIELD_NAMES[cls] = names
+    return names
+
+
+def canonicalize(obj, memo: Optional[Dict[int, tuple]] = None) -> object:
     """Reduce ``obj`` to a JSON-serializable canonical form.
 
     Dataclasses become ``["dc", <class name>, [[field, value], ...]]``
@@ -92,39 +105,58 @@ def canonicalize(obj) -> object:
     shortest round-trip ``repr``, which is stable across processes and
     platforms for IEEE-754 doubles). The class name is part of the form,
     so two different dataclasses with equal fields do not alias.
+
+    ``memo`` lets a batch of calls share the work on shared sub-objects:
+    each dataclass instance's form is stored under its ``id`` together
+    with the instance itself (so the id cannot be reused while the memo
+    lives) and handed back on the next encounter. Only pass a memo over
+    objects that do not change while it is in use; the forms, and hence
+    every digest, are the same with or without one.
     """
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, enum.Enum):
         return ["enum", type(obj).__name__, obj.value]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return [
+    cls = type(obj)
+    if cls in _FIELD_NAMES or (
+        dataclasses.is_dataclass(obj) and not isinstance(obj, type)
+    ):
+        if memo is not None:
+            hit = memo.get(id(obj))
+            if hit is not None:
+                return hit[1]
+        form = [
             "dc",
-            type(obj).__name__,
+            cls.__name__,
             [
-                [f.name, canonicalize(getattr(obj, f.name))]
-                for f in dataclasses.fields(obj)
+                [name, canonicalize(getattr(obj, name), memo)]
+                for name in _field_names(cls)
             ],
         ]
+        if memo is not None:
+            memo[id(obj)] = (obj, form)
+        return form
     if isinstance(obj, (list, tuple)):
-        return [canonicalize(v) for v in obj]
+        return [canonicalize(v, memo) for v in obj]
     if isinstance(obj, dict):
         return [
-            [canonicalize(k), canonicalize(v)] for k, v in sorted(obj.items())
+            [canonicalize(k, memo), canonicalize(v, memo)]
+            for k, v in sorted(obj.items())
         ]
     raise TypeError(
         f"cannot canonicalize {type(obj).__name__!r} for hashing: {obj!r}"
     )
 
 
-def stable_hash(*objs) -> str:
+def stable_hash(*objs, memo: Optional[Dict[int, tuple]] = None) -> str:
     """SHA-256 hex digest of the canonical form of ``objs``.
 
     Unlike builtin ``hash``, the digest is identical across processes
-    (no ``PYTHONHASHSEED`` dependence) and sessions.
+    (no ``PYTHONHASHSEED`` dependence) and sessions. ``memo`` is passed
+    to :func:`canonicalize`.
     """
     payload = json.dumps(
-        [canonicalize(o) for o in objs],
+        [canonicalize(o, memo) for o in objs],
         sort_keys=False,
         separators=(",", ":"),
         allow_nan=True,
@@ -171,14 +203,20 @@ class RunPoint:
         return f"{self.workload.name}/{self.spec.key if self.spec else 'unthrottled'}"
 
 
-def config_hash(point: RunPoint, version: Optional[str] = None) -> str:
+def config_hash(
+    point: RunPoint,
+    version: Optional[str] = None,
+    memo: Optional[Dict[int, tuple]] = None,
+) -> str:
     """The content address of one simulation point.
 
     Covers every field of the configuration tree (machine, package,
     sensor fidelity, seed, ...), the policy spec, the workload's
     benchmark list, the cache format version and the simulator code
     version. Equal points hash equal; changing any single ingredient
-    changes the hash.
+    changes the hash. ``memo`` (see :func:`canonicalize`) shares the
+    canonical forms of sub-objects across the points of one batch and
+    never changes the digest.
     """
     return stable_hash(
         "run-point",
@@ -187,6 +225,7 @@ def config_hash(point: RunPoint, version: Optional[str] = None) -> str:
         point.workload,
         point.spec,
         point.config,
+        memo=memo,
     )
 
 
@@ -876,7 +915,10 @@ class ParallelRunner:
         traced: bool,
     ) -> List[RunResult]:
         """The :meth:`run_points` body, with tracing state resolved."""
-        keys = [config_hash(p, self.version) for p in points]
+        # Points of a batch share their machine, package, workload, spec
+        # and fault-plan objects: canonicalize each of those once.
+        memo: Dict[int, tuple] = {}
+        keys = [config_hash(p, self.version, memo) for p in points]
         results: List[Optional[RunResult]] = [None] * len(points)
         done = [False] * len(points)
 
@@ -996,8 +1038,11 @@ class ParallelRunner:
         labels = list(labels) if labels is not None else [
             f"{task}[{i}]" for i in range(len(payloads))
         ]
+        memo: Dict[int, tuple] = {}
         keys = [
-            stable_hash("task", CACHE_FORMAT_VERSION, self.version, task, p)
+            stable_hash(
+                "task", CACHE_FORMAT_VERSION, self.version, task, p, memo=memo
+            )
             for p in payloads
         ]
         results: List[Optional[object]] = [None] * len(payloads)

@@ -18,7 +18,7 @@ structures leak more per area than random logic at matched temperature).
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -51,6 +51,38 @@ _UNIT_LEAKAGE_DENSITY: Dict[str, float] = {
 _L2_LEAKAGE_DENSITY = 0.8
 
 
+def _density(block_name: str) -> float:
+    _, unit = parse_block_name(block_name)
+    if unit.startswith("l2"):
+        return _L2_LEAKAGE_DENSITY
+    return _UNIT_LEAKAGE_DENSITY.get(unit, 1.0)
+
+
+class LeakageWeights(NamedTuple):
+    """How a floorplan apportions reference leakage over its blocks."""
+
+    #: Area x unit-density weight per block (read-only).
+    per_block: np.ndarray
+    #: ``per_block.sum()``, the normaliser.
+    total: float
+
+
+def block_leakage_weights(floorplan: Floorplan) -> LeakageWeights:
+    """The area x density weights of ``floorplan``'s blocks.
+
+    A pure function of the geometry, so chips of one floorplan can share
+    one result (the engine substrate does); the array is read-only.
+    """
+    per_block = np.array(
+        [_density(b.name) * b.area_mm2 for b in floorplan.blocks]
+    )
+    total = per_block.sum()
+    if total <= 0:
+        raise ValueError("floorplan has no leaking area")
+    per_block.flags.writeable = False
+    return LeakageWeights(per_block, total)
+
+
 class LeakageModel:
     """Per-block exponential leakage model.
 
@@ -62,6 +94,8 @@ class LeakageModel:
             power at 85 C, the commonly-cited 90 nm share.
         beta: Exponential coefficient (1/K).
         t_ref_c: Temperature at which ``total_reference_w`` is specified.
+        weights: Precomputed :func:`block_leakage_weights` of
+            ``floorplan``; computed here when omitted.
     """
 
     def __init__(
@@ -70,6 +104,7 @@ class LeakageModel:
         total_reference_w: float,
         beta: float = DEFAULT_BETA,
         t_ref_c: float = DEFAULT_T_REF_C,
+        weights: Optional[LeakageWeights] = None,
     ):
         """Distribute the reference budget over blocks by area and density."""
         if not total_reference_w >= 0:
@@ -79,21 +114,10 @@ class LeakageModel:
         self.floorplan = floorplan
         self.beta = float(beta)
         self.t_ref_c = float(t_ref_c)
-        weights = np.array(
-            [self._density(b.name) * b.area_mm2 for b in floorplan.blocks]
-        )
-        total_weight = weights.sum()
-        if total_weight <= 0:
-            raise ValueError("floorplan has no leaking area")
+        if weights is None:
+            weights = block_leakage_weights(floorplan)
         #: Per-block leakage at the reference temperature (W).
-        self.reference_w = total_reference_w * weights / total_weight
-
-    @staticmethod
-    def _density(block_name: str) -> float:
-        _, unit = parse_block_name(block_name)
-        if unit.startswith("l2"):
-            return _L2_LEAKAGE_DENSITY
-        return _UNIT_LEAKAGE_DENSITY.get(unit, 1.0)
+        self.reference_w = total_reference_w * weights.per_block / weights.total
 
     #: Evaluation clamp (deg C). The empirical exponential is a fit over
     #: the operating range; extrapolating it far above damages nothing

@@ -48,12 +48,24 @@ def scalar_run(workload, spec, config, telemetry=None):
     return sim, sim.run()
 
 
+def stream_states(sim) -> dict:
+    """The generator state of every RNG stream a simulator owns."""
+    states = {"sensors": sim._sensor_rng.generator.bit_generator.state}
+    if sim._faults is not None:
+        for i, stream in sim._faults._rng.items():
+            states[i] = stream.generator.bit_generator.state
+    return states
+
+
 def assert_member_matches_scalar(fleet_result, member_sim, workload, spec, config):
     """Bitwise comparison of one fleet member against a fresh scalar run."""
     ref_sim, ref = scalar_run(workload, spec, config)
     fr = scalar_fields(fleet_result)
     fr["workload"] = ref.workload  # fleet tags the workload name
     assert fr == scalar_fields(ref)
+    # Every stream ends where the scalar run's does: the fleet drew
+    # exactly the scalar's sequence from each, no more and no less.
+    assert stream_states(member_sim) == stream_states(ref_sim)
     np.testing.assert_array_equal(
         member_sim.thermal.temperatures, ref_sim.thermal.temperatures
     )
@@ -476,11 +488,149 @@ class TestScenarioBitIdentity:
             assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
 
+class TestSubstrateSharing:
+    """Members of one substrate share its read-only parts by identity."""
+
+    def _pair(self):
+        from repro.sim.engine import EngineSubstrate
+
+        plan = _bench_fault_plan(0.004)
+        cfg = SimulationConfig(duration_s=0.004, fault_plan=plan)
+        substrate = EngineSubstrate.for_config(cfg)
+        spec = spec_by_key("distributed-dvfs-none")
+        sims = [
+            ThermalTimingSimulator(
+                W7.benchmarks, spec, replace(cfg, threshold_c=t),
+                substrate=substrate,
+            )
+            for t in (82.0, 84.0)
+        ]
+        return substrate, sims
+
+    @staticmethod
+    def _shared(sim):
+        return [
+            sim._core_unit_idx,
+            sim._hotspot_idx,
+            sim._unit_flat,
+            sim._faults._masks,
+        ]
+
+    def test_members_share_parts_by_identity(self):
+        substrate, (a, b) = self._pair()
+        for x, y in zip(self._shared(a), self._shared(b)):
+            assert x is y
+        assert a._l2_idx_list is b._l2_idx_list
+        assert a.leakage.reference_w is not b.leakage.reference_w
+        np.testing.assert_array_equal(
+            a.leakage.reference_w, b.leakage.reference_w
+        )
+        assert a._core_unit_idx is substrate.layout.core_unit_idx
+
+    def test_shared_arrays_are_read_only(self):
+        substrate, (a, _) = self._pair()
+        arrays = [
+            a._core_unit_idx,
+            a._hotspot_idx,
+            a._unit_flat,
+            substrate.layout.leakage_weights.per_block,
+            *a._faults._masks.values(),
+        ]
+        assert a._faults._masks
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
+
+    def test_shared_parts_equal_standalone_ones(self):
+        """A standalone simulator builds the same values itself."""
+        _, (a, _) = self._pair()
+        alone = ThermalTimingSimulator(W7.benchmarks, a.spec, a.config)
+        for x, y in zip(self._shared(a)[:3], self._shared(alone)[:3]):
+            assert x is not y
+            np.testing.assert_array_equal(x, y)
+        assert alone._l2_idx_list == a._l2_idx_list
+        assert alone._xbar_i == a._xbar_i
+        np.testing.assert_array_equal(
+            alone.leakage.reference_w, a.leakage.reference_w
+        )
+
+    def test_fleet_finds_default_machine_by_identity(self):
+        """Default configs share one machine object, and one substrate."""
+        configs = [SimulationConfig(duration_s=0.002, threshold_c=t)
+                   for t in (80.0, 81.0, 82.0)]
+        assert all(c.machine is configs[0].machine for c in configs)
+        engine = FleetEngine([(W7, None, c) for c in configs])
+        substrates = {id(m.sim._substrate) for m in engine.members}
+        assert len(substrates) == 1
+
+    def test_sensor_stream_created_on_first_use(self):
+        quiet = ThermalTimingSimulator(W7.benchmarks, None, CFG)
+        assert "_sensor_rng" not in vars(quiet)
+        noisy_cfg = replace(CFG, duration_s=0.002, sensor_noise_std_c=0.5)
+        spec = spec_by_key("distributed-dvfs-none")
+        noisy = ThermalTimingSimulator(W7.benchmarks, spec, noisy_cfg)
+        noisy.run()
+        assert "_sensor_rng" in vars(noisy)
+
+    def test_profile_trace_views_never_go_stale(self):
+        """Traces of profile objects are not cached by the substrate, so
+        once a simulator is freed a new trace may reuse a freed trace's
+        id; the second simulator must still see its own traces."""
+        import gc
+
+        from repro.sim.engine import EngineSubstrate
+        from repro.uarch.benchmarks import get_benchmark
+        from repro.uarch.tracegen import clear_trace_cache
+
+        substrate = EngineSubstrate()
+        first = [get_benchmark(b) for b in ("gcc", "gzip", "mcf", "vpr")]
+        second = [get_benchmark(b) for b in ("art", "swim", "lucas", "mgrid")]
+        sim = ThermalTimingSimulator(first, None, CFG, substrate=substrate)
+        del sim
+        clear_trace_cache()  # the module memo would keep the traces alive
+        gc.collect()
+        shared = ThermalTimingSimulator(second, None, CFG, substrate=substrate)
+        alone = ThermalTimingSimulator(second, None, CFG)
+        np.testing.assert_array_equal(
+            shared._warm_power(1.0), alone._warm_power(1.0)
+        )
+        for p in shared.scheduler.processes:
+            np.testing.assert_array_equal(
+                shared._trace_aux[p.pid].unit_power_mean,
+                p.trace.unit_power.mean(axis=0),
+            )
+        assert not substrate._aux  # nothing cached for profile objects
+
+    def test_trace_view_ignores_a_reused_id(self):
+        """A trace allocated where a freed one lived gets its own view."""
+        from repro.sim.engine import EngineSubstrate
+        from repro.uarch.benchmarks import get_benchmark
+        from repro.uarch.tracegen import clear_trace_cache
+
+        substrate = EngineSubstrate()
+        template = substrate.trace(get_benchmark("art"), CFG)
+        gone = substrate.trace(get_benchmark("gcc"), CFG)
+        substrate.trace_aux(gone)
+        clear_trace_cache()
+        del gone
+        # Allocated straight after the free, CPython usually hands this
+        # object the freed trace's address, and so its id.
+        reused = object.__new__(type(template))
+        vars(reused).update(vars(template))
+        np.testing.assert_array_equal(
+            substrate.trace_aux(reused).unit_power_mean,
+            template.unit_power.mean(axis=0),
+        )
+
+
 # -- Hypothesis property tests (skipped when hypothesis is absent) --------
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+
+from repro.faults import injector as injector_module  # noqa: E402
 
 #: Policy pool for random batch composition: both throttle families,
 #: both scopes, with and without migration, plus unthrottled.
@@ -582,7 +732,13 @@ stochastic_member = st.tuples(
     st.sampled_from([0.01, 0.05, 0.2]),           # spike prob
     st.sampled_from([0.25, 0.5, 0.9]),            # dvfs-reject prob
     st.integers(min_value=0, max_value=2**31 - 1),  # seed
+    # Horizon: the plan's windows span 0.006 s, so shorter members
+    # retire mid-window (0.0045 s inside the dropout window).
+    st.sampled_from([0.006, 0.0045, 0.002]),
 )
+
+#: Members sharing one plan (one fault cohort) at mixed horizons.
+_COHORT = ("distributed-dvfs-none", 1, "last-good", 0.2, 0.5)
 
 
 @settings(
@@ -590,24 +746,49 @@ stochastic_member = st.tuples(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(batch=st.lists(stochastic_member, min_size=1, max_size=4))
-def test_property_stochastic_plans_match_scalar(batch):
+@given(
+    batch=st.lists(stochastic_member, min_size=1, max_size=4),
+    # Replay block length: the production value, and a short one that
+    # puts block boundaries inside every fault window.
+    block=st.sampled_from([injector_module.REPLAY_BLOCK_STEPS, 7]),
+)
+@example(
+    batch=[_COHORT + (11, 0.006), _COHORT + (12, 0.0045),
+           _COHORT + (13, 0.002)],
+    block=7,
+)
+@example(
+    batch=[(None, 2, "nan", 0.05, 0.25, 5, 0.0045),
+           (None, 2, "nan", 0.05, 0.25, 6, 0.006),
+           ("distributed-stop-go-none", 2, "nan", 0.05, 0.25, 7, 0.002),
+           ("distributed-stop-go-none", 2, "nan", 0.05, 0.25, 8, 0.006)],
+    block=injector_module.REPLAY_BLOCK_STEPS,
+)
+def test_property_stochastic_plans_match_scalar(batch, block):
     """Tentpole acceptance property: any batch of members with random
     stochastic fault plans (dropout/spike/dvfs-reject at random
-    severities and seeds) is bit-identical — metrics, FaultSummary
-    counters and telemetry — to the same points run scalar."""
+    severities, seeds and horizons) is bit-identical — metrics,
+    FaultSummary counters, telemetry and the final state of every RNG
+    stream — to the same points run scalar, whatever the replay block
+    length."""
     duration = 0.006
     members = []
-    for spec_key, core, mode, spike_p, reject_p, seed in batch:
+    for spec_key, core, mode, spike_p, reject_p, seed, horizon in batch:
         spec = spec_by_key(spec_key) if spec_key else None
         cfg = SimulationConfig(
-            duration_s=duration,
+            duration_s=horizon,
             fault_plan=_stochastic_plan(duration, core, mode, spike_p, reject_p),
             seed=seed,
         )
         members.append((W7, spec, cfg))
     engine = FleetEngine(members)
+    saved = injector_module.REPLAY_BLOCK_STEPS
+    injector_module.REPLAY_BLOCK_STEPS = block
+    try:
+        results = engine.run()
+    finally:
+        injector_module.REPLAY_BLOCK_STEPS = saved
     for result, member, (_, spec, cfg) in zip(
-        engine.run(), engine.members, members
+        results, engine.members, members
     ):
         assert_member_matches_scalar(result, member.sim, W7, spec, cfg)

@@ -341,3 +341,93 @@ class TestHashingPrimitives:
         assert v == code_version()
         assert len(v) == 64
         int(v, 16)
+
+
+def _pinned_points():
+    """Points whose cache keys are pinned below, by name."""
+    from repro.faults.guards import GuardConfig
+    from repro.faults.models import (
+        DropoutFault,
+        DVFSRejectFault,
+        FaultPlan,
+        SpikeFault,
+    )
+    from repro.scenarios import get_scenario
+    from repro.sim.workloads import tile_workload
+
+    w7 = get_workload("workload7")
+    plan = FaultPlan(
+        name="pinned",
+        faults=(
+            DropoutFault(core=1, start_s=0.001, end_s=0.004, mode="nan"),
+            SpikeFault(start_s=0.0, end_s=0.005, magnitude_c=8.0, prob=0.05),
+            DVFSRejectFault(start_s=0.002, end_s=0.004, prob=0.5),
+        ),
+    )
+    mesh16 = get_scenario("mesh16")
+    return {
+        "default": RunPoint(w7, None, SimulationConfig()),
+        "fault-plan": RunPoint(
+            w7, DVFS,
+            SimulationConfig(duration_s=0.005, fault_plan=plan, seed=7),
+        ),
+        "guard": RunPoint(
+            w7,
+            spec_by_key("distributed-stop-go-none"),
+            SimulationConfig(guard=GuardConfig(), threshold_c=82.5),
+        ),
+        "mesh16": RunPoint(
+            tile_workload(w7, mesh16.n_cores),
+            DVFS,
+            SimulationConfig(
+                duration_s=0.004,
+                machine=mesh16.machine_config(),
+                scenario=mesh16,
+            ),
+        ),
+        "core-sizes": RunPoint(
+            w7, DVFS, SimulationConfig(core_sizes_mm=(3.5, 4.0, 4.5, 5.0))
+        ),
+    }
+
+
+#: ``config_hash(point, version="pinned")`` of :func:`_pinned_points`.
+#: A change to canonicalization or hashing must not move these: every
+#: cached result on disk is addressed by them.
+PINNED_KEYS = {
+    "default": "0a7f9284043f8c516a9bdad7cc91764d5a3acf26c8f812680e43562ce4470734",
+    "fault-plan": "f2196af59076c2656017dfb3d0ae11ba4955f75fc9bb09ea5ba33da474a4ba5b",
+    "guard": "9c0bd0599db1c1a03bb854942cbb0ce030cfee5fd84430d22186f29c00197dfe",
+    "mesh16": "13fa5f658dafdf67585e98ea8a24619cb44e0da9f3f9142ca02684c82ee197e9",
+    "core-sizes": "a5a8193ffcd4ebf1bc824f60ace9908d7131b50d17e784193615cec1731d0494",
+}
+
+
+class TestPinnedCacheKeys:
+    """Cache keys are byte-stable: faster keying cannot move one silently."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_KEYS))
+    def test_key_is_pinned(self, name):
+        point = _pinned_points()[name]
+        assert config_hash(point, version="pinned") == PINNED_KEYS[name]
+
+    def test_batch_memo_keeps_every_key(self):
+        """One memo shared across a batch (as run_points shares it)
+        yields exactly the unmemoised keys, in any order and repeated."""
+        points = list(_pinned_points().values())
+        batch = points + points[::-1] + quick_points(3)
+        memo = {}
+        shared = [config_hash(p, "pinned", memo) for p in batch]
+        assert shared == [config_hash(p, "pinned") for p in batch]
+        assert shared[: len(PINNED_KEYS)] == [
+            PINNED_KEYS[name] for name in _pinned_points()
+        ]
+
+    def test_memo_pins_its_objects(self):
+        """The memo holds what it keyed by id, so no id can be reused."""
+        point = _pinned_points()["fault-plan"]
+        memo = {}
+        config_hash(point, "pinned", memo)
+        held = [entry[0] for entry in memo.values()]
+        assert any(obj is point.config.fault_plan for obj in held)
+        assert any(obj is point.config.machine for obj in held)
