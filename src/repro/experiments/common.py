@@ -71,7 +71,9 @@ def _config_key(config: SimulationConfig) -> Tuple:
 def _memory_key(
     workload: Workload, spec: Optional[PolicySpec], config: SimulationConfig
 ) -> Tuple:
-    return (workload.name, spec.key if spec else "unthrottled", _config_key(config))
+    """In-memory cache key; the frozen workload itself, not its name, so
+    two mixes that share a name never alias."""
+    return (workload, spec.key if spec else "unthrottled", _config_key(config))
 
 
 def clear_result_cache() -> int:

@@ -22,6 +22,15 @@ minutes of real execution (full SPEC phases), the Table 1 runs stretch
 each benchmark's phase period by ``PHASE_STRETCH`` and simulate several
 seconds — the mobile package's external time constants filter anything
 faster into invisibility, exactly as on the real laptop.
+
+The benchmarks are measured in small cohorts (:data:`COHORT`) stepped in
+lockstep through one shared ``StepOperator.apply_batch`` per step, with
+each member's dynamic power precomputed before the loop. Memory, not
+speed, caps the cohort: every member's power rows stay alive for the
+whole run. Each cohort is one runner payload, so with ``jobs > 1``
+cohorts still measure concurrently. The cohort is a batching device
+only: every benchmark's readings are bitwise equal to stepping it alone
+through ``ThermalModel.step``, whichever cohort it lands in.
 """
 
 from __future__ import annotations
@@ -89,6 +98,14 @@ PHASE_STRETCH = 6000.0
 #: ACPI reading granularity.
 QUANTIZATION_C = 1.0
 
+#: Benchmarks stepped in lockstep per runner payload. Memory, not speed,
+#: sets the size: each member holds its dynamic-power rows for the whole
+#: run (~4.3 MB at the 900 s protocol). Measured on a 2-vCPU VM, Table 1
+#: alone takes 11.9 s one at a time, 5.4 s at 2, 3.8 s at 3 and 1.6 s at
+#: 12, its transient peak growing from +25 to +34, +38 and +67 MB above
+#: imports. At 2 a full regeneration's peak RSS moves by under 0.5 MB.
+COHORT = 2
+
 
 @dataclass(frozen=True)
 class Table1Row:
@@ -103,9 +120,9 @@ class Table1Row:
 
 @dataclass(frozen=True)
 class Table1Point:
-    """One benchmark measurement's full input — the runner's cache key."""
+    """One cohort measurement's full input — the runner's cache key."""
 
-    benchmark: str
+    benchmarks: Tuple[str, ...]
     duration_s: float
     dt: float
     package: ThermalPackage
@@ -113,16 +130,17 @@ class Table1Point:
     seed: int
 
 
-def _measure_point(point: Table1Point) -> np.ndarray:
-    """Runner task: one benchmark's diode readings (picklable, pure)."""
-    return _simulate_benchmark(
-        point.benchmark,
+def _measure_point(point: Table1Point) -> Tuple[np.ndarray, ...]:
+    """Runner task: each cohort member's diode readings (picklable, pure)."""
+    temps = _diode_temperatures(
+        point.benchmarks,
         point.duration_s,
         point.dt,
         point.package,
         point.power_scale,
         point.seed,
     )
+    return tuple(_quantise(temps[:, i]) for i in range(temps.shape[1]))
 
 
 def _simulate_benchmark(
@@ -133,29 +151,44 @@ def _simulate_benchmark(
     power_scale: float,
     seed: int,
 ) -> np.ndarray:
-    """Diode readings (quantised, 1/dt Hz) while ``name`` runs."""
-    profile = get_benchmark(name)
-    stretched = replace(
-        profile,
-        phase=replace(
-            profile.phase, period_s=profile.phase.period_s * PHASE_STRETCH
-        ),
+    """Diode readings (quantised, 1/dt Hz) while ``name`` runs alone."""
+    point = Table1Point((name,), duration_s, dt, package, power_scale, seed)
+    return _measure_point(point)[0]
+
+
+def _quantise(temperatures: np.ndarray) -> np.ndarray:
+    """What the ACPI interface reports for raw diode temperatures."""
+    return np.round(temperatures / QUANTIZATION_C) * QUANTIZATION_C
+
+
+def _l2_power(activity, power_scale: float):
+    """L2 block power (W), platform baseline included; float or array."""
+    return PLATFORM_IDLE_W + power_scale * L2_BANK_PEAK_W * (
+        L2_IDLE_FRACTION + (1 - L2_IDLE_FRACTION) * activity
     )
+
+
+def _diode_temperatures(
+    names: Sequence[str],
+    duration_s: float,
+    dt: float,
+    package: ThermalPackage,
+    power_scale: float,
+    seed: int,
+) -> np.ndarray:
+    """Raw diode temperatures, ``(n_steps, len(names))``, benchmarks in lockstep.
+
+    Column ``i`` is bitwise equal to stepping ``names[i]`` alone through
+    ``ThermalModel.step`` and ``LeakageModel.power``: the loop performs
+    the same floating-point operations row by row, and
+    ``StepOperator.apply_batch`` rows equal scalar ``apply`` calls.
+    """
     # Sample the interval model directly at the coarse thermal step: the
     # trace then holds one power bin per step, phases included.
     machine = replace(
         mobile_machine_config(),
         trace_sample_cycles=int(round(dt * mobile_machine_config().clock_hz)),
     )
-    trace = generate_trace(
-        stretched,
-        machine,
-        duration_s=duration_s,
-        seed=seed,
-        power_scale=power_scale,
-        use_cache=False,
-    )
-
     floorplan = build_mobile_floorplan()
     model = ThermalModel(floorplan, package, dt)
     # 130 nm mobile part: leakage is a smaller share than at 90 nm.
@@ -164,33 +197,55 @@ def _simulate_benchmark(
     unit_idx = np.array([net.index(f"core0.{u}") for u in UNIT_ORDER])
     l2_idx = net.index("l2_0")
     n_blocks = net.n_blocks
-    n_bins = trace.n_samples
 
-    def l2_power(activity: float) -> float:
-        return PLATFORM_IDLE_W + power_scale * L2_BANK_PEAK_W * (
-            L2_IDLE_FRACTION + (1 - L2_IDLE_FRACTION) * activity
+    temps = np.empty((len(names), net.n_nodes))
+    dyn = None  # (n_bins, cohort, n_blocks) dynamic power per step
+    for i, name in enumerate(names):
+        profile = get_benchmark(name)
+        stretched = replace(
+            profile,
+            phase=replace(
+                profile.phase, period_s=profile.phase.period_s * PHASE_STRETCH
+            ),
         )
+        trace = generate_trace(
+            stretched,
+            machine,
+            duration_s=duration_s,
+            seed=seed,
+            power_scale=power_scale,
+            use_cache=False,
+        )
+        # The real protocol runs each benchmark for minutes before (and
+        # while) polling — the whole stack is warm. Start from the
+        # benchmark's mean-power steady state and let the phases swing
+        # around it.
+        mean_p = np.zeros(n_blocks)
+        mean_p[unit_idx] = trace.unit_power.mean(axis=0)
+        mean_p[l2_idx] = _l2_power(float(trace.l2_activity.mean()), power_scale)
+        temps[i] = initialize_coupled_steady(
+            model, leakage, mean_p, tolerance_c=1e-3
+        )
+        if dyn is None:
+            # Every trace of the cohort has the same machine and horizon,
+            # hence the same number of bins.
+            dyn = np.zeros((trace.n_samples, len(names), n_blocks))
+        dyn[:, i, unit_idx] = trace.unit_power
+        dyn[:, i, l2_idx] = _l2_power(trace.l2_activity, power_scale)
+        del trace  # only one benchmark's trace is alive at a time
 
-    # The real protocol runs each benchmark for minutes before (and while)
-    # polling — the whole stack is warm. Start from the benchmark's mean-
-    # power steady state and let the phases swing around it.
-    mean_p = np.zeros(n_blocks)
-    mean_p[unit_idx] = trace.unit_power.mean(axis=0)
-    mean_p[l2_idx] = l2_power(float(trace.l2_activity.mean()))
-    initialize_coupled_steady(model, leakage, mean_p, tolerance_c=1e-3)
-
+    n_bins = dyn.shape[0]
     n_steps = max(1, int(round(duration_s / dt)))
-    readings = np.empty(n_steps)
-    p = np.zeros(n_blocks)
+    apply_batch = model.operator_for(dt).apply_batch
+    ref, beta = leakage.reference_w, leakage.beta
+    t_ref, cap = leakage.t_ref_c, leakage.max_eval_temp_c
+    diode = net.index(DIODE_BLOCK)
+    out = np.empty((n_steps, len(names)))
     for k in range(n_steps):
-        b = k % n_bins
-        p[:] = 0.0
-        p[unit_idx] = trace.unit_power[b]
-        p[l2_idx] = l2_power(float(trace.l2_activity[b]))
-        p += leakage.power(model.temperatures[:n_blocks])
-        model.step(p, dt)
-        readings[k] = model.temperature_of(DIODE_BLOCK)
-    return np.round(readings / QUANTIZATION_C) * QUANTIZATION_C
+        leak = ref * np.exp(beta * (np.minimum(temps[:, :n_blocks], cap) - t_ref))
+        temps = apply_batch(temps, leak + dyn[k % n_bins])
+        out[k] = temps[:, diode]
+    return out
 
 
 def compute(
@@ -204,10 +259,13 @@ def compute(
 ) -> List[Table1Row]:
     """Measure every Table 1 benchmark; returns rows in the paper's order.
 
-    Each benchmark is an independent measurement, so the batch goes
-    through ``runner`` (default: the session's default runner) — with
-    ``jobs > 1`` benchmarks measure concurrently, and with a disk cache
-    re-computing the table only re-measures changed points.
+    The benchmarks (``benchmarks`` in the order given, default the
+    paper's) are cut into cohorts of :data:`COHORT` that step in
+    lockstep; a benchmark's readings do not depend on its cohort. Each
+    cohort is one payload of ``runner`` (default: the session's default
+    runner), so with ``jobs > 1`` cohorts measure concurrently, and with
+    a disk cache re-computing the table only re-measures changed
+    cohorts.
     """
     names = list(benchmarks) if benchmarks is not None else (
         list(PAPER_STABLE) + list(PAPER_RANGES)
@@ -219,16 +277,20 @@ def compute(
         duration_s,
         dt,
     )
-    points = [
-        Table1Point(name, duration_s, dt, package, power_scale, seed)
-        for name in names
+    cohorts = [
+        tuple(names[i:i + COHORT]) for i in range(0, len(names), COHORT)
     ]
-    all_readings = runner.map_cached(
+    points = [
+        Table1Point(cohort, duration_s, dt, package, power_scale, seed)
+        for cohort in cohorts
+    ]
+    cohort_readings = runner.map_cached(
         "table1-readings",
         _measure_point,
         points,
-        labels=[f"table1/{name}" for name in names],
+        labels=[f"table1/{'+'.join(cohort)}" for cohort in cohorts],
     )
+    all_readings = [r for readings in cohort_readings for r in readings]
     rows = []
     for name, readings in zip(names, all_readings):
         profile = get_benchmark(name)

@@ -10,7 +10,7 @@ from repro.experiments.common import (
     run_cached,
     run_matrix,
 )
-from repro.sim.workloads import ALL_WORKLOADS
+from repro.sim.workloads import ALL_WORKLOADS, Workload, get_workload
 
 QUICK = default_config(duration_s=0.01)
 WORKLOADS = list(ALL_WORKLOADS[:2])
@@ -34,6 +34,15 @@ class TestCaching:
             WORKLOADS[0], BASELINE_SPEC, default_config(duration_s=0.012)
         )
         assert a is not b
+
+    def test_cache_distinguishes_workloads_sharing_a_name(self):
+        real = get_workload("workload1")
+        impostor = Workload(real.name, get_workload("workload7").benchmarks)
+        a = run_matrix([BASELINE_SPEC], [real], QUICK)[BASELINE_SPEC.key]
+        b = run_matrix([BASELINE_SPEC], [impostor], QUICK)[BASELINE_SPEC.key]
+        assert a[real.name].benchmarks == real.benchmarks
+        assert b[real.name].benchmarks == impostor.benchmarks
+        assert run_cached(impostor, BASELINE_SPEC, QUICK) is b[real.name]
 
     def test_clear_reports(self):
         run_cached(WORKLOADS[0], BASELINE_SPEC, QUICK)

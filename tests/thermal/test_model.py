@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.thermal.layouts import build_cmp_floorplan
+from repro.thermal.layouts import build_cmp_floorplan, build_mobile_floorplan
 from repro.thermal.model import ThermalKernel, ThermalModel
-from repro.thermal.package import HIGH_PERFORMANCE_PACKAGE
+from repro.thermal.package import HIGH_PERFORMANCE_PACKAGE, MOBILE_PACKAGE
 
 DT = 100_000 / 3.6e9
 
@@ -252,16 +252,18 @@ class TestApplyBatch:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 7, 16, 33])
     def test_rows_bitwise_equal_scalar_apply(self, m):
-        model = make_model()
-        op = model.operator_for(DT)
-        rng = np.random.default_rng(m)
-        temps = 40.0 + 80.0 * rng.random((m, model.network.n_nodes))
-        power = 20.0 * rng.random((m, model.network.n_blocks))
-        batched = op.apply_batch(temps, power)
-        for i in range(m):
-            np.testing.assert_array_equal(
-                batched[i], op.apply(temps[i], power[i])
-            )
+        # The 4-core chip, and the mobile chip Table 1 steps in cohorts.
+        mobile = ThermalModel(build_mobile_floorplan(), MOBILE_PACKAGE, 20e-3)
+        for model in (make_model(), mobile):
+            op = model.operator_for(model.dt)
+            rng = np.random.default_rng(m)
+            temps = 40.0 + 80.0 * rng.random((m, model.network.n_nodes))
+            power = 20.0 * rng.random((m, model.network.n_blocks))
+            batched = op.apply_batch(temps, power)
+            for i in range(m):
+                np.testing.assert_array_equal(
+                    batched[i], op.apply(temps[i], power[i])
+                )
 
     def test_slicing_invariance(self):
         """A sub-batch's rows equal the same rows of the full batch —
