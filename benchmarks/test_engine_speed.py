@@ -16,13 +16,14 @@ import pytest
 
 from repro.sim.bench import ENGINE_BENCH_CASES, build_simulator, case_steps
 
-# Sweep-backend cases (fleet vs pool batches) time a whole runner batch,
-# not one simulator — `repro bench` measures those; here we keep the
-# single-engine protocol.
-SHORT_CASES = [c for c in ENGINE_BENCH_CASES if c.short and c.backend is None]
-FULL_CASES = [
-    c for c in ENGINE_BENCH_CASES if not c.short and c.backend is None
+# Sweep-backend cases (fleet vs pool batches) time a whole runner batch
+# and one-member fleet cases a FleetEngine, not one simulator — `repro
+# bench` measures those; here we keep the single-engine protocol.
+SCALAR_CASES = [
+    c for c in ENGINE_BENCH_CASES if c.backend is None and c.engine == "scalar"
 ]
+SHORT_CASES = [c for c in SCALAR_CASES if c.short]
+FULL_CASES = [c for c in SCALAR_CASES if not c.short]
 
 
 def _measure(benchmark, case, rounds):

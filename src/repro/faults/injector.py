@@ -496,9 +496,9 @@ class FleetFaultInjector:
                     latch[:k] = np.where(mask[None], source, 0.0)
                     self._latches[i] = latch
                 if fault.value_c is not None:
-                    out[:, mask] = fault.value_c
+                    np.copyto(out, fault.value_c, where=mask)
                 else:
-                    out[:, mask] = self._latches[i][:k][:, mask]
+                    np.copyto(out, self._latches[i][:k], where=mask)
                 counts[:k] += n_sel
             elif isinstance(fault, DropoutFault):
                 if fault.prob >= 1.0:
@@ -507,22 +507,23 @@ class FleetFaultInjector:
                 else:
                     dropped, n_dropped = self._replay(i, fault, step, k)
                 if fault.mode == "nan":
-                    out[dropped] = np.nan
+                    np.copyto(out, np.nan, where=dropped)
                     counts[:k] += n_dropped
                 elif self._has_last:
-                    out[dropped] = self._last_output[:k][dropped]
+                    np.copyto(out, self._last_output[:k], where=dropped)
                     counts[:k] += n_dropped
                 # else: very first read — passes through, not counted.
             elif isinstance(fault, DriftFault):
-                out[:, mask] += fault.rate_c_per_s * (time_s - fault.start_s)
+                drift = fault.rate_c_per_s * (time_s - fault.start_s)
+                np.add(out, drift, out=out, where=mask)
                 counts[:k] += n_sel
             elif isinstance(fault, SpikeFault):
                 spiking, n_spiking = self._replay(i, fault, step, k)
-                out[spiking] += fault.magnitude_c
+                np.add(out, fault.magnitude_c, out=out, where=spiking)
                 counts[:k] += n_spiking
             else:
                 assert isinstance(fault, CalibrationStepFault)
-                out[:, mask] += fault.offset_c
+                np.add(out, fault.offset_c, out=out, where=mask)
                 counts[:k] += n_sel
         self._last_output[:k] = out
         self._has_last = True

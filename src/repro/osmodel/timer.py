@@ -12,6 +12,10 @@ from __future__ import annotations
 #: Default migration-decision period (the Linux-kernel-style 10 ms).
 DEFAULT_MIGRATION_PERIOD_S = 10e-3
 
+#: Slack added to the clock before comparing it with a firing time, so a
+#: period boundary reached through accumulated float steps still fires.
+FIRE_SLACK_S = 1e-15
+
 
 class PeriodicTimer:
     """Fires at a fixed period against an externally advancing clock.
@@ -29,9 +33,9 @@ class PeriodicTimer:
 
     def fire_due(self, now_s: float) -> bool:
         """True exactly once per period as ``now_s`` sweeps past it."""
-        if now_s + 1e-15 >= self._next_fire_s:
+        if now_s + FIRE_SLACK_S >= self._next_fire_s:
             # Skip any fully elapsed periods (coarse caller steps).
-            while self._next_fire_s <= now_s + 1e-15:
+            while self._next_fire_s <= now_s + FIRE_SLACK_S:
                 self._next_fire_s += self.period_s
             return True
         return False

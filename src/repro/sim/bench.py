@@ -26,7 +26,7 @@ import json
 import platform
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.taxonomy import spec_by_key
@@ -38,6 +38,7 @@ from repro.faults.models import (
     SpikeFault,
 )
 from repro.sim.engine import SimulationConfig, ThermalTimingSimulator
+from repro.sim.fleet import FleetEngine
 
 #: Current ``BENCH_engine.json`` schema identifier.
 SCHEMA = "repro-bench-engine/1"
@@ -121,6 +122,13 @@ class BenchCase:
             tiled across the scenario's cores; sweep-backend scenario
             cases use the shorter :data:`MANYCORE_SWEEP_THRESHOLDS`
             grid to bound many-core runtime.
+        engine: ``"scalar"`` (default) runs a single-engine case on a
+            :class:`ThermalTimingSimulator`; ``"fleet"`` runs the same
+            point as a one-member :class:`~repro.sim.fleet.FleetEngine`
+            batch and times ``FleetEngine.run()`` only, as the scalar
+            cases time ``run()`` only. The ratio of the two is the
+            fleet's fixed per-step overhead at N=1
+            (:func:`fleet_n1_ratios`).
     """
 
     key: str
@@ -133,6 +141,7 @@ class BenchCase:
     record_series: bool = False
     backend: Optional[str] = None
     scenario: Optional[str] = None
+    engine: str = "scalar"
 
 
 ENGINE_BENCH_CASES: Tuple[BenchCase, ...] = (
@@ -161,6 +170,25 @@ ENGINE_BENCH_CASES: Tuple[BenchCase, ...] = (
     BenchCase(
         "table1-full", None, FULL_RUN_S, False, False,
         "full-length Table-1-style unthrottled characterization run",
+    ),
+    # One-member fleet twins of the three cases above: the same point
+    # through FleetEngine, whose per-step overhead at N=1 is what
+    # routing the scalar engine through the fleet would cost.
+    BenchCase(
+        "fleet-n1-unthrottled", None, SHORT_RUN_S, False, True,
+        "the unthrottled case as a one-member FleetEngine batch",
+        engine="fleet",
+    ),
+    BenchCase(
+        "fleet-n1-stopgo", "distributed-stop-go-none", SHORT_RUN_S, False,
+        True,
+        "the stopgo case as a one-member FleetEngine batch",
+        engine="fleet",
+    ),
+    BenchCase(
+        "fleet-n1-dvfs", "distributed-dvfs-none", SHORT_RUN_S, False, True,
+        "the dvfs case as a one-member FleetEngine batch",
+        engine="fleet",
     ),
     # Telemetry-vs-record_series contrast pairs (docs/PERFORMANCE.md §3):
     # the sampled cases keep whatever fast path the config allows (the
@@ -193,8 +221,8 @@ ENGINE_BENCH_CASES: Tuple[BenchCase, ...] = (
     # process-pool ParallelRunner path (jobs=SWEEP_POOL_JOBS). The
     # gated >=10x fleet advantage comes from sharing traces, the
     # thermal kernel, the PI design and one warm start across the
-    # batch, and stepping all chips in lockstep ("one einsum per
-    # step") — where the pool pays per-point construction, a per-point
+    # batch, and stepping all chips in lockstep (one apply_batch call
+    # per step) — where the pool pays per-point construction, a per-point
     # warm start, per-worker trace regeneration and pool dispatch.
     BenchCase(
         "fleet-sweep-unthrottled", None, SWEEP_RUN_S, False, True,
@@ -389,6 +417,10 @@ def build_simulator(case: BenchCase) -> ThermalTimingSimulator:
             f"{case.key} is a sweep-backend case; it has no single "
             "simulator (see sweep_case_points)"
         )
+    if case.engine != "scalar":
+        raise ValueError(
+            f"{case.key} is a fleet-engine case (see build_fleet_engine)"
+        )
     workload = _case_workload(case)
     spec = spec_by_key(case.spec_key) if case.spec_key else None
     telemetry = (
@@ -399,6 +431,14 @@ def build_simulator(case: BenchCase) -> ThermalTimingSimulator:
     return ThermalTimingSimulator(
         workload.benchmarks, spec, case_config(case), telemetry=telemetry
     )
+
+
+def build_fleet_engine(case: BenchCase) -> FleetEngine:
+    """A fresh one-member fleet for one round of a fleet-engine case."""
+    if case.engine != "fleet":
+        raise ValueError(f"{case.key} is not a fleet-engine case")
+    spec = spec_by_key(case.spec_key) if case.spec_key else None
+    return FleetEngine([(_case_workload(case), spec, case_config(case))])
 
 
 def case_steps(case: BenchCase) -> int:
@@ -469,8 +509,9 @@ def run_case(
             if i >= warmup_rounds:
                 timings.append(elapsed)
         return BenchCaseResult(case, case_steps(case), tuple(timings))
+    build = build_fleet_engine if case.engine == "fleet" else build_simulator
     for i in range(warmup_rounds + rounds):
-        sim = build_simulator(case)
+        sim = build(case)
         start = time.perf_counter()
         sim.run()
         elapsed = time.perf_counter() - start
@@ -522,6 +563,7 @@ def run_suite(
             "record_series": case.record_series,
             "backend": case.backend,
             "scenario": case.scenario,
+            "engine": case.engine,
             "sweep_points": (
                 len(case_thresholds(case)) if case.backend is not None else None
             ),
@@ -530,7 +572,40 @@ def run_suite(
             "steps_per_second_mean": round(result.steps_per_second_mean, 1),
             "best_round_s": round(result.best_seconds, 6),
         }
+    ratios = fleet_n1_ratios(payload)
+    if ratios:
+        payload["fleet_n1_ratio"] = ratios
     return payload
+
+
+def _scalar_twin(case: BenchCase) -> Optional[BenchCase]:
+    """The scalar case a fleet-engine case runs the same point as."""
+    for other in ENGINE_BENCH_CASES:
+        if other.engine == "scalar" and replace(
+            other, key=case.key, description=case.description,
+            engine=case.engine,
+        ) == case:
+            return other
+    return None
+
+
+def fleet_n1_ratios(payload: Dict) -> Dict[str, float]:
+    """One-member fleet steps/s over its scalar twin's, per fleet case.
+
+    Keyed by the fleet case; only cases measured together with their
+    scalar twin in ``payload`` appear. Above 1 the fleet is faster.
+    """
+    cases = payload["cases"]
+    ratios = {}
+    for case in ENGINE_BENCH_CASES:
+        twin = _scalar_twin(case) if case.engine == "fleet" else None
+        if twin is not None and case.key in cases and twin.key in cases:
+            ratios[case.key] = round(
+                cases[case.key]["steps_per_second"]
+                / cases[twin.key]["steps_per_second"],
+                3,
+            )
+    return ratios
 
 
 def write_bench_json(payload: Dict, path: str) -> str:
@@ -599,6 +674,8 @@ def render_suite(payload: Dict) -> str:
             f"({entry['simulated_steps']} steps, "
             f"{entry['duration_s']:g} s silicon)"
         )
+    for key, ratio in payload.get("fleet_n1_ratio", {}).items():
+        lines.append(f"  {key:24s} {ratio:>10.3f} x its scalar twin")
     return "\n".join(lines)
 
 

@@ -6,28 +6,37 @@ for runs whose inner loop is a handful of tiny matrix-vector products.
 :class:`FleetEngine` stacks N independent chips that share a floorplan
 into ``(N, ...)`` arrays and advances them together: one vectorised
 sensor read, one vectorised PI/stop-go update, one vectorised power
-assembly and one thermal-propagator application per chip per step, all
-inside a single process.
+assembly and one thermal-propagator application for the whole batch
+per step, all inside a single process.
 
 Bit-identity contract
 ---------------------
 Fleet results are **bit-identical** to running each member through the
 scalar engine (``tests/sim/test_fleet.py`` enforces this across the
-full 12-policy taxonomy). Three design rules make that possible:
+full 12-policy taxonomy). Four design rules make that possible:
 
 * Elementwise work (PI law, actuator gating, freeze timers, power
   assembly, leakage, metric folds) is batched — IEEE elementwise ops
   are bit-equal regardless of array shape. Reductions that are *not*
   shape-invariant (``np.sum`` is pairwise, not a left fold) are written
-  as explicit per-core folds, matching the scalar engine's loop order.
-* The thermal update is **one einsum per step** over the whole live
-  batch (:meth:`~repro.thermal.model.StepOperator.apply_batch`).
-  einsum's per-element summation order is shape-invariant, so row ``i``
-  of the batched application is bitwise equal to the scalar engine's
+  as strict left folds in the scalar engine's loop order:
+  ``np.add.accumulate`` along a row whose first column is the running
+  total, so ``((total + c0) + c1) + ...`` for every accumulator and
+  member in one call.
+* The thermal update is **one** :meth:`~repro.thermal.model.StepOperator.apply_batch`
+  **call per step** over the whole live batch: two einsums (``A_d @ T``
+  and ``B_d @ P`` per row) plus the ambient add. einsum's per-element
+  summation order is shape-invariant, so row ``i`` of the batched
+  application is bitwise equal to the scalar engine's
   :meth:`~repro.thermal.model.StepOperator.apply` — which uses the same
   einsum formulation rather than BLAS ``@`` precisely so the two paths
   can never diverge (gemm and gemv pick shape-dependent blocking and
   differ in the last bits).
+* Per-run state lives **core-major**: slot ``(i, c)`` holds the
+  counters, trace position and trace-pool entry of the process on core
+  ``c`` of chip ``i``, so a step updates them with slice arithmetic.
+  Threads change cores only at OS ticks, where the member's slots are
+  permuted to follow its new assignment.
 * Control *decisions* with heavy branching (OS ticks: thermal-table
   folds, migration proposals, scheduler moves) are not re-implemented.
   Each fleet member owns a real scalar simulator; at its OS tick the
@@ -68,6 +77,7 @@ folds matching Python/scalar NaN semantics bit for bit.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -78,6 +88,7 @@ from repro.core.dvfs import DVFSPolicy
 from repro.core.stopgo import StopGoPolicy
 from repro.faults.injector import FleetFaultInjector
 from repro.obs.telemetry import TelemetrySampler
+from repro.osmodel.timer import FIRE_SLACK_S
 from repro.sim.engine import (
     EngineSubstrate,
     SimulationConfig,
@@ -97,6 +108,18 @@ from repro.uarch.power import (
 _OM_L2 = 1 - L2_IDLE_FRACTION
 _OM_XBAR = 1 - XBAR_IDLE_FRACTION
 _U0, _U1 = HOTSPOT_UNITS
+
+# Columns of the core-major progress state (_GroupBase.prog): the
+# counters and trace position of the process on each (chip, core) slot.
+_INSTR, _INT, _FP, _CYC, _ADJ, _POS = range(6)
+_P_COLS = 6
+# Trace-pool columns after the unit powers: the three trace-driven
+# counters in the order above, then L2 activity.
+_L2 = 3
+# Rows of the metric fold buffer (_GroupBase.fold): column 0 holds the
+# running total, columns 1..C one step's per-core terms.
+_F_WORK, _F_STALL, _F_FROZEN, _F_WALL, _F_EMERG, _F_INSTR = range(6)
+_F_ROWS = 6
 
 
 class FleetIncompatibleError(ValueError):
@@ -335,16 +358,19 @@ class FleetEngine:
         for member in self.members:
             groups.setdefault(self._group_key(member), []).append(member)
 
+        # Groups of one run usually step the same traces (a policy sweep
+        # splits one workload into several groups), so they share pools.
+        pools: Dict[tuple, tuple] = {}
         for key, group in groups.items():
             # Descending horizons so retiring members always form a
             # suffix and the live set stays a contiguous prefix.
             group.sort(key=lambda m: -m.n_steps)
             if key[1] == "fused":
-                _FusedGroup(group).run()
+                _FusedGroup(group, pools).run()
                 for member in group:
                     member.fused = True
             else:
-                _StepwiseGroup(group, kind=key[1], scope=key[2]).run()
+                _StepwiseGroup(group, pools, kind=key[1], scope=key[2]).run()
 
         results: List[Optional[RunResult]] = [None] * len(self.members)
         for member in self.members:
@@ -358,10 +384,24 @@ class FleetEngine:
         return results  # type: ignore[return-value]
 
 
+def _stack_traces(traces, n_units: int) -> np.ndarray:
+    """The trace pool of _GroupBase: every trace padded and stacked."""
+    s_max = max(tr.n_samples for tr in traces)
+    pool = np.zeros((len(traces) * s_max, n_units + 4))
+    for j, tr in enumerate(traces):
+        rows = pool[j * s_max : j * s_max + int(tr.n_samples)]
+        rows[:, :n_units] = tr.unit_power
+        rows[:, n_units + _INSTR] = tr.instructions
+        rows[:, n_units + _INT] = tr.int_rf_accesses
+        rows[:, n_units + _FP] = tr.fp_rf_accesses
+        rows[:, n_units + _L2] = tr.l2_activity
+    return pool
+
+
 class _GroupBase:
     """Shared batched state for one lockstep group."""
 
-    def __init__(self, members: List[_Member]):
+    def __init__(self, members: List[_Member], pools: Dict[tuple, tuple]):
         self.members = members
         self.sims = [m.sim for m in members]
         s0 = self.sims[0]
@@ -371,6 +411,7 @@ class _GroupBase:
         self.op = s0.thermal.operator_for(self.dt)
         self.nominal_cycles = self.dt * s0.config.machine.clock_hz
         self.cui = s0._core_unit_idx          # (C, U)
+        self.n_units = self.cui.shape[1]
         self.unit_flat = s0._unit_flat        # (C*U,)
         self.l2_cols = np.asarray(s0._l2_idx_list, dtype=np.int64)
         self.xbar_i = s0._xbar_i
@@ -398,65 +439,75 @@ class _GroupBase:
                 or s.leakage.max_eval_temp_c != leak.max_eval_temp_c
             ):  # pragma: no cover - engine always uses default leakage
                 raise FleetIncompatibleError("heterogeneous leakage models")
+        self.leak_buf = np.empty((n, self.n_blocks))
         self.emerg_thresh = np.array(
             [s.config.threshold_c + EMERGENCY_TOLERANCE_C for s in self.sims]
         )
 
-        # Metric accumulators (batched MetricsAccumulator fields).
-        self.wall = np.zeros(n)
-        self.work_t = np.zeros(n)
-        self.stall_t = np.zeros(n)
-        self.frozen_t = np.zeros(n)
+        # Metric accumulators. The summed ones are column 0 of the fold
+        # buffer (see _fold_metrics) and the attributes are views of it.
+        self.fold = np.zeros((n, _F_ROWS, C + 1))
+        self.fold[:, _F_WALL, 1] = self.dt
+        self.work_t = self.fold[:, _F_WORK, 0]
+        self.stall_t = self.fold[:, _F_STALL, 0]
+        self.frozen_t = self.fold[:, _F_FROZEN, 0]
+        self.wall = self.fold[:, _F_WALL, 0]
+        self.emerg = self.fold[:, _F_EMERG, 0]
         self.instr_tot = np.zeros(n)
         self.max_t = np.full(n, -273.15)
-        self.emerg = np.zeros(n)
         self.pci = np.zeros((n, C))
 
-        # Per-(chip, pid) performance counters and trace positions.
-        self.c_instr = np.zeros((n, C))
-        self.c_int = np.zeros((n, C))
-        self.c_fp = np.zeros((n, C))
-        self.c_cyc = np.zeros((n, C))
-        self.c_adj = np.zeros((n, C))
-        for i, s in enumerate(self.sims):
-            for p in s.scheduler.processes:
-                ctr = p.counters
-                self.c_instr[i, p.pid] = ctr.instructions
-                self.c_int[i, p.pid] = ctr.int_rf_accesses
-                self.c_fp[i, p.pid] = ctr.fp_rf_accesses
-                self.c_cyc[i, p.pid] = ctr.cycles
-                self.c_adj[i, p.pid] = ctr.adjusted_cycles
+        # Core-major slot state: slot (i, c) holds the performance
+        # counters, trace position and trace-pool entry of the process
+        # running on core c of chip i, so a step updates them with slice
+        # arithmetic. Assignments change only at OS ticks, where
+        # _permute_slots follows the moves.
+        self.assign = np.array(
+            [s.scheduler.assignment for s in self.sims], dtype=np.int64
+        )
+        slot_procs = [
+            s.scheduler.process(pid)
+            for s in self.sims
+            for pid in s.scheduler.assignment
+        ]
+        self.prog = np.array(
+            [
+                (
+                    p.counters.instructions,
+                    p.counters.int_rf_accesses,
+                    p.counters.fp_rf_accesses,
+                    p.counters.cycles,
+                    p.counters.adjusted_cycles,
+                    p.position,
+                )
+                for p in slot_procs
+            ]
+        ).reshape(n, C, _P_COLS)
 
-        # Trace pools, padded to the longest trace; per-trace lengths
-        # drive the position modulo so padding is never read.
+        # Trace pool: one row per trace sample holding its unit powers,
+        # then instructions, int/fp RF accesses and L2 activity, so one
+        # ``take`` fetches a whole step. Traces are padded to the longest
+        # one; a slot reads rows slot_base + (position % slot_len), so
+        # padding is never read. Pools are keyed by the identity of
+        # their traces, which the members keep alive.
         pool_ids: Dict[int, int] = {}
         traces = []
-        for s in self.sims:
-            for p in s.scheduler.processes:
-                if id(p.trace) not in pool_ids:
-                    pool_ids[id(p.trace)] = len(traces)
-                    traces.append(p.trace)
-        s_max = max(tr.n_samples for tr in traces)
-        n_units = self.cui.shape[1]
-        P = len(traces)
-        self.unit_pool = np.zeros((P, s_max, n_units))
-        self.l2_pool = np.zeros((P, s_max))
-        self.instr_pool = np.zeros((P, s_max))
-        self.int_pool = np.zeros((P, s_max))
-        self.fp_pool = np.zeros((P, s_max))
-        self.pool_ns = np.empty(P, dtype=np.int64)
-        for j, tr in enumerate(traces):
-            ns = int(tr.n_samples)
-            self.pool_ns[j] = ns
-            self.unit_pool[j, :ns] = tr.unit_power
-            self.l2_pool[j, :ns] = tr.l2_activity
-            self.instr_pool[j, :ns] = tr.instructions
-            self.int_pool[j, :ns] = tr.int_rf_accesses
-            self.fp_pool[j, :ns] = tr.fp_rf_accesses
-        self.tid_pid = np.empty((n, C), dtype=np.int64)
-        for i, s in enumerate(self.sims):
-            for p in s.scheduler.processes:
-                self.tid_pid[i, p.pid] = pool_ids[id(p.trace)]
+        for p in slot_procs:
+            if id(p.trace) not in pool_ids:
+                pool_ids[id(p.trace)] = len(traces)
+                traces.append(p.trace)
+        pool_key = tuple(pool_ids)
+        if pool_key not in pools:
+            pools[pool_key] = (_stack_traces(traces, self.n_units), pool_ids)
+        self.pool, pool_ids = pools[pool_key]
+        s_max = self.pool.shape[0] // len(traces)
+        self.slot_base = np.array(
+            [pool_ids[id(p.trace)] * s_max for p in slot_procs],
+            dtype=np.int64,
+        ).reshape(n, C)
+        self.slot_len = np.array(
+            [p.trace.n_samples for p in slot_procs], dtype=np.int64
+        ).reshape(n, C)
 
         # Telemetry cursors (-1 = no sampler).
         self.tel_stride = [0] * n
@@ -468,26 +519,47 @@ class _GroupBase:
 
     # -- shared helpers ----------------------------------------------------
 
-    def _step_metrics(self, m, work, stalled, frozen, instr_mat, mt):
-        """Fold one step into the batched accumulators, scalar fold order."""
-        dt = self.dt
-        self.wall[:m] += dt
-        tmp = np.zeros(m)
-        for c in range(self.n_cores):
-            self.work_t[:m] += work[:, c]
-            self.stall_t[:m] += stalled[:, c]
-            if frozen is not None:
-                fmask = frozen[:, c]
-                if fmask.any():
-                    ft = self.frozen_t[:m]
-                    ft[fmask] += dt
-            self.pci[:m, c] += instr_mat[:, c]
-            tmp += instr_mat[:, c]
-        self.instr_tot[:m] += tmp
+    def _leakage(self, m):
+        """Leakage of the live prefix, in a reused buffer, scalar op order."""
+        leak = self.leak_buf[:m]
+        np.minimum(self.T[:m, : self.n_blocks], self.leak_cap, out=leak)
+        leak -= self.leak_tref
+        leak *= self.leak_beta
+        np.exp(leak, out=leak)
+        leak *= self.ref_w[:m]
+        return leak
+
+    def _fold_metrics(self, m, mt, instr, work=None, stalled=None, frozen=None):
+        """Fold one step into the accumulators in the scalar order.
+
+        The step's per-core terms go into columns 1..C of the fold
+        buffer (``work=None``: the prefilled full-speed work and no
+        stalls). ``MetricsAccumulator.record_step`` adds them to each
+        total one core at a time; ``np.add.accumulate`` along a row is
+        that strict left fold ``((total + c0) + c1) + ...`` (``np.sum``
+        is pairwise), for every total in one call. The wall row adds
+        ``dt`` and the emergency row ``dt`` or 0.0, each then zeros, and
+        a core that is not frozen adds 0.0: all exact, as totals are
+        never -0.0. The instruction row starts from 0.0, like
+        ``sum(core_instructions)``, and is added to its total as one
+        term.
+        """
+        fold = self.fold[:m]
+        if work is not None:
+            fold[:, _F_WORK, 1:] = work
+            fold[:, _F_STALL, 1:] = stalled
+        if frozen is not None:
+            np.multiply(frozen, self.dt, out=fold[:, _F_FROZEN, 1:])
+        fold[:, _F_INSTR, 1:] = instr
+        np.multiply(
+            mt > self.emerg_thresh[:m], self.dt, out=fold[:, _F_EMERG, 1]
+        )
+        sums = np.add.accumulate(fold, axis=2)[:, :, -1]
+        fold[:, :_F_INSTR, 0] = sums[:, :_F_INSTR]
+        self.instr_tot[:m] += sums[:, _F_INSTR]
+        self.pci[:m] += instr
         hotter = mt > self.max_t[:m]
         np.copyto(self.max_t[:m], mt, where=hotter)
-        em = self.emerg[:m]
-        em[mt > self.emerg_thresh[:m]] += dt
 
     def _sample_telemetry(self, i, step, eff_scales):
         """One member's telemetry tap, fed from live batched state."""
@@ -502,6 +574,21 @@ class _GroupBase:
     def _sync_sampler_counters(self, i):
         """Hook: push batched counters into the member's real objects."""
 
+    def _write_processes(self, i):
+        """Write member ``i``'s slot state into its real processes."""
+        sched = self.sims[i].scheduler
+        for pid, row in zip(self.assign[i].tolist(), self.prog[i].tolist()):
+            p = sched.process(pid)
+            ctr = p.counters
+            (
+                ctr.instructions,
+                ctr.int_rf_accesses,
+                ctr.fp_rf_accesses,
+                ctr.cycles,
+                ctr.adjusted_cycles,
+                p.position,
+            ) = row
+
     def _finish_metrics(self):
         """Write the batched accumulators back into per-member metrics."""
         for i, member in enumerate(self.members):
@@ -515,43 +602,39 @@ class _GroupBase:
             metrics.emergency_s = float(self.emerg[i])
             metrics.per_core_instructions = self.pci[i].tolist()
 
-    def _finish_processes(self, positions):
+    def _finish_processes(self):
         """Write counters, positions and temperatures back to the sims."""
         for i, sim in enumerate(self.sims):
             sim.thermal.temperatures = self.T[i].copy()
-            for p in sim.scheduler.processes:
-                ctr = p.counters
-                ctr.instructions = float(self.c_instr[i, p.pid])
-                ctr.int_rf_accesses = float(self.c_int[i, p.pid])
-                ctr.fp_rf_accesses = float(self.c_fp[i, p.pid])
-                ctr.cycles = float(self.c_cyc[i, p.pid])
-                ctr.adjusted_cycles = float(self.c_adj[i, p.pid])
-                p.position = float(positions[i, p.pid])
+            self._write_processes(i)
 
 
 class _StepwiseGroup(_GroupBase):
     """Lockstep batched version of the engine's general stepwise loop."""
 
-    def __init__(self, members: List[_Member], kind: str, scope: str):
-        super().__init__(members)
+    def __init__(
+        self,
+        members: List[_Member],
+        pools: Dict[tuple, tuple],
+        kind: str,
+        scope: str,
+    ):
+        super().__init__(members, pools)
         self.kind = kind
         self.scope = scope
         n = len(members)
         C = self.n_cores
         sims = self.sims
 
-        self.assign = np.array(
-            [s.scheduler.assignment for s in sims], dtype=np.int64
-        )
-        self.pos = np.zeros((n, C))
-        for i, s in enumerate(sims):
-            for p in s.scheduler.processes:
-                self.pos[i, p.pid] = p.position
         self.su = np.array([s._stall_until for s in sims])
 
-        self.offset = np.array(
-            [[[s.config.sensor_offset_c]] for s in sims]
-        )  # (N, 1, 1)
+        offsets = [s.config.sensor_offset_c for s in sims]
+        self.offset = np.array(offsets)[:, None, None]  # (N, 1, 1)
+        # Rows past the last nonzero offset skip the add, as the scalar
+        # loop does for a zero offset.
+        self.offset_rows = max(
+            (i + 1 for i, o in enumerate(offsets) if o), default=0
+        )
         quant = np.array(
             [[[s.config.sensor_quantization_c]] for s in sims]
         )
@@ -571,8 +654,11 @@ class _StepwiseGroup(_GroupBase):
         by_plan: Dict[object, List[int]] = {}
         for i in self.fault_rows:
             by_plan.setdefault(sims[i].config.fault_plan, []).append(i)
-        self.fault_cohorts: List[Tuple[np.ndarray, FleetFaultInjector]] = [
+        self.fault_cohorts: List[
+            Tuple[List[int], np.ndarray, FleetFaultInjector]
+        ] = [
             (
+                rows,
                 np.asarray(rows, dtype=np.int64),
                 FleetFaultInjector(
                     [sims[i]._faults for i in rows],
@@ -583,8 +669,8 @@ class _StepwiseGroup(_GroupBase):
             for rows in by_plan.values()
         ]
         self.fault_flush: Dict[int, Tuple[FleetFaultInjector, int]] = {}
-        for rows, finj in self.fault_cohorts:
-            for j, i in enumerate(rows.tolist()):
+        for rows, _, finj in self.fault_cohorts:
+            for j, i in enumerate(rows):
                 self.fault_flush[i] = (finj, j)
         self.noise_rows: List[Tuple[int, float]] = [
             (i, s.config.sensor_noise_std_c)
@@ -665,6 +751,9 @@ class _StepwiseGroup(_GroupBase):
             self.dvfs_fault_rows = [
                 i for i in self.fault_rows if sims[i]._faults._dvfs_faults
             ]
+            self.dvfs_fault_ix = np.asarray(
+                self.dvfs_fault_rows, dtype=np.int64
+            )
             self.frej = np.array(
                 [[a.faulted_rejections for a in s.actuators] for s in sims],
                 dtype=np.int64,
@@ -696,11 +785,15 @@ class _StepwiseGroup(_GroupBase):
             self.w_steps = np.zeros(n, dtype=np.int64)
             self.w_dur = np.zeros(n)
 
-        self.row_ix = np.arange(n)[:, None]
+        # Step-scope buffers: every live-prefix element is overwritten
+        # each step before it is read.
         self.pbuf = np.empty((n, self.n_blocks))
         self.lmbuf = np.ones((n, self.n_blocks))
         self.ones_sc = np.ones((n, C))
-        self.false_fz = np.zeros((n, C), dtype=bool)
+        # Per-slot progress increments; the cycles column is the constant
+        # nominal cycle count every step.
+        self.inc = np.empty((n, C, _P_COLS))
+        self.inc[:, :, _CYC] = self.nominal_cycles
 
     # -- OS-tick bridge ----------------------------------------------------
 
@@ -719,19 +812,13 @@ class _StepwiseGroup(_GroupBase):
         w._steps = int(self.w_steps[i])
         w.duration_s = float(self.w_dur[i])
         self._sync_throttle_in(i)
-        for p in sim.scheduler.processes:
-            ctr = p.counters
-            ctr.instructions = float(self.c_instr[i, p.pid])
-            ctr.int_rf_accesses = float(self.c_int[i, p.pid])
-            ctr.fp_rf_accesses = float(self.c_fp[i, p.pid])
-            ctr.cycles = float(self.c_cyc[i, p.pid])
-            ctr.adjusted_cycles = float(self.c_adj[i, p.pid])
+        self._write_processes(i)
 
         readings = [{_U0: r[0], _U1: r[1]} for r in sens_row.tolist()]
         sim._os_tick(t, readings)
 
         self.su[i] = sim._stall_until
-        self.assign[i] = sim.scheduler.assignment
+        self._permute_slots(i, sim.scheduler.assignment)
         # _os_tick always ends with window.reset() + per-core
         # reset_window; mirror the reset state directly.
         self.w_sum[i] = 0.0
@@ -741,6 +828,16 @@ class _StepwiseGroup(_GroupBase):
         self.w_steps[i] = 0
         self.w_dur[i] = 0.0
         self._sync_throttle_out(i)
+
+    def _permute_slots(self, i: int, assignment: List[int]) -> None:
+        """Move member ``i``'s slot state to follow a new assignment."""
+        old = self.assign[i].tolist()
+        if assignment == old:
+            return
+        src = [old.index(pid) for pid in assignment]
+        self.assign[i] = assignment
+        for arr in (self.prog, self.slot_base, self.slot_len):
+            arr[i] = arr[i, src]
 
     def _sync_throttle_in(self, i: int) -> None:
         sim = self.sims[i]
@@ -809,6 +906,7 @@ class _StepwiseGroup(_GroupBase):
         dt = self.dt
         C = self.n_cores
         nb = self.n_blocks
+        U = self.n_units
         op_apply_batch = self.op.apply_batch
         n_steps = self.n_steps
         total_steps = n_steps[0]
@@ -821,7 +919,13 @@ class _StepwiseGroup(_GroupBase):
         dvfs = self.kind == "dvfs"
         stopgo = self.kind == "stopgo"
         timers = [s._migration_timer for s in self.sims]
+        # Earliest next firing over the group's timers: no alive timer
+        # can fire before it, so the per-member poll runs only from then.
+        next_fire = min(tm.next_fire_s for tm in timers)
         any_tel = any(st > 0 for st in self.tel_stride)
+        injectors = [s._faults for s in self.sims]
+        dvfs_fault_rows = self.dvfs_fault_rows if dvfs else []
+        prog = self.prog
 
         for step in range(total_steps):
             while alive > 0 and n_steps[alive - 1] <= step:
@@ -834,7 +938,9 @@ class _StepwiseGroup(_GroupBase):
             sens = hot = None
             if need_sensors:
                 sens = self.T[:m][:, self.hotspot_idx]  # (m, C, 2)
-                sens = sens + self.offset[:m]
+                k = min(m, self.offset_rows)
+                if k:
+                    sens[:k] += self.offset[:k]
                 # Per-member noise replay: each member's own sensor
                 # stream, drawn in ascending row order with the scalar
                 # draw shape. Rows are sorted ascending, so the alive
@@ -855,10 +961,10 @@ class _StepwiseGroup(_GroupBase):
                 # Dynamic faults apply after the static pipeline, one
                 # vectorised cohort at a time (cohort rows ascending,
                 # so the alive subset is a prefix).
-                for rows, finj in self.fault_cohorts:
-                    mc = int(np.searchsorted(rows, m))
+                for rows, rows_ix, finj in self.fault_cohorts:
+                    mc = bisect_left(rows, m)
                     if mc:
-                        r = rows[:mc]
+                        r = rows_ix[:mc]
                         sens[r] = finj.apply_sensor_faults(step, sens[r])
                 if throttled:
                     # Hottest-unit fold written as the scalar's Python
@@ -870,10 +976,11 @@ class _StepwiseGroup(_GroupBase):
                     s1c = sens[..., 1]
                     hot = np.where(s1c > s0c, s1c, s0c)
 
-            if self.has_migration:
+            if self.has_migration and t + FIRE_SLACK_S >= next_fire:
                 for i in range(m):
                     if timers[i].fire_due(t):
                         self._member_tick(i, t, sens[i])
+                next_fire = min(tm.next_fire_s for tm in timers[:m])
 
             # Throttle + actuation, batched.
             if dvfs:
@@ -893,15 +1000,15 @@ class _StepwiseGroup(_GroupBase):
                 cur = self.cur[:m]
                 accept = np.abs(req - cur) >= self.mta[:m]
                 extras = None
-                for i in self.dvfs_fault_rows:
-                    if i >= m:
-                        break
-                    row = accept[i]
-                    if not row.any():
-                        continue
-                    inj = self.sims[i]._faults
-                    for c in np.nonzero(row)[0].tolist():
-                        allow, extra = inj.dvfs_request(
+                nf = bisect_left(dvfs_fault_rows, m)
+                if nf:
+                    # Every gate candidate of the faulted members in one
+                    # scan; nonzero walks row-major, so the injectors
+                    # see ascending (member, core) order.
+                    rows = self.dvfs_fault_ix[:nf]
+                    fr, fc = accept[rows].nonzero()
+                    for i, c in zip(rows[fr].tolist(), fc.tolist()):
+                        allow, extra = injectors[i].dvfs_request(
                             t, c, float(req[i, c]), float(cur[i, c])
                         )
                         if not allow:
@@ -911,7 +1018,8 @@ class _StepwiseGroup(_GroupBase):
                             if extras is None:
                                 extras = []
                             extras.append((i, c, extra))
-                if accept.any():
+                ri, ci = accept.nonzero()
+                if ri.size:
                     np.copyto(cur, req, where=accept)
                     self.trans[:m] += accept
                     su = self.su[:m]
@@ -933,11 +1041,7 @@ class _StepwiseGroup(_GroupBase):
                             np.maximum(su, t) + self.penalty,
                             where=stall_w,
                         )
-                    ri, ci = np.nonzero(accept)
-                    vals = cur[ri, ci].tolist()
-                    cube = self.cube
-                    for r, c, v in zip(ri.tolist(), ci.tolist(), vals):
-                        cube[r, c] = v ** 3
+                    self.cube[ri, ci] = [v ** 3 for v in cur[ri, ci].tolist()]
                 s_eff = cur
                 frozen = None
                 dyn_mult = self.cube[:m]
@@ -946,7 +1050,7 @@ class _StepwiseGroup(_GroupBase):
                 frozen_pre = t < fu
                 tripped = hot >= self.trip_temp[:m]
                 newly = ~frozen_pre & tripped
-                if newly.any():
+                if np.count_nonzero(newly):
                     if self.scope == "distributed":
                         np.copyto(fu, t + self.freeze[:m], where=newly)
                         self.trips[:m] += newly.sum(axis=1)
@@ -978,22 +1082,19 @@ class _StepwiseGroup(_GroupBase):
             adv = work / dt
             af = active / dt
 
-            # Trace gathers for the running thread of each (chip, core).
-            asg = self.assign[:m]
-            rix = self.row_ix[:m]
-            tid = self.tid_pid[:m][rix, asg]
-            pos_c = self.pos[:m][rix, asg]
-            idx = pos_c.astype(np.int64) % self.pool_ns[tid]
-            u_pw = self.unit_pool[tid, idx]        # (m, C, U)
-            l2v = self.l2_pool[tid, idx]           # (m, C)
-            iv = self.instr_pool[tid, idx]
+            # One gather fetches every slot's trace sample.
+            idx = prog[:m, :, _POS].astype(np.int64)
+            idx %= self.slot_len[:m]
+            idx += self.slot_base[:m]
+            sample = self.pool.take(idx, axis=0)  # (m, C, U + 4)
+            u_pw = sample[..., :U]
 
             dyn = af if dyn_mult is None else dyn_mult * af
             scaled = u_pw * dyn[:, :, None]
-            l2_act = l2v * s_eff * af
-            total_l2 = np.zeros(m)
-            for c in range(C):
-                total_l2 += l2_act[:, c]
+            l2_act = sample[..., U + _L2] * s_eff
+            l2_act *= af
+            # The scalar's running total from 0.0, a strict left fold.
+            total_l2 = np.add.accumulate(l2_act, axis=1)[:, -1]
 
             p = self.pbuf[:m]
             p[:, self.unit_flat] = scaled.reshape(m, -1)
@@ -1004,29 +1105,28 @@ class _StepwiseGroup(_GroupBase):
                 XBAR_IDLE_FRACTION
                 + _OM_XBAR * np.minimum(1.0, total_l2 / C)
             )
-            leak = self.ref_w[:m] * np.exp(
-                self.leak_beta
-                * (np.minimum(self.T[:m, :nb], self.leak_cap) - self.leak_tref)
-            )
+            leak = self._leakage(m)
             if dvfs:
-                ssq = s_eff ** 2
                 lm = self.lmbuf[:m]
-                lm[:, self.cui] = ssq[:, :, None]
-                leak = leak * lm
+                lm[:, self.cui] = (s_eff ** 2)[:, :, None]
+                leak *= lm
             p += leak
 
-            # Progress bookkeeping, scattered per pid (assignments are
-            # permutations, so the fancy-index adds never collide).
-            instr_mat = iv * adv
-            self.c_instr[rix, asg] += instr_mat
-            self.c_int[rix, asg] += self.int_pool[tid, idx] * adv
-            self.c_fp[rix, asg] += self.fp_pool[tid, idx] * adv
-            self.c_cyc[:m] += self.nominal_cycles
-            self.c_adj[rix, asg] += self.nominal_cycles * adv
-            self.pos[rix, asg] = pos_c + adv
+            # Progress: instruction and RF-access counters, adjusted
+            # cycles and position advance by adv-weighted amounts, plain
+            # cycles by the nominal count (the prefilled column).
+            inc = self.inc[:m]
+            np.multiply(
+                sample[..., U + _INSTR : U + _FP + 1],
+                adv[:, :, None],
+                out=inc[..., _INSTR : _FP + 1],
+            )
+            np.multiply(adv, self.nominal_cycles, out=inc[..., _ADJ])
+            inc[..., _POS] = adv
+            prog[:m] += inc
 
-            # Thermal update: one einsum over the whole live batch.
-            # apply_batch rows are bitwise equal to scalar apply calls
+            # Thermal update: one apply_batch call over the whole live
+            # batch. Its rows are bitwise equal to scalar apply calls
             # (einsum summation is shape-invariant; see StepOperator),
             # and the axis-max is a selection reduction, exact in any
             # order.
@@ -1035,7 +1135,7 @@ class _StepwiseGroup(_GroupBase):
             T[:m] = nT
             mt = nT[:, :nb].max(axis=1)
 
-            self._step_metrics(m, work, stalled, frozen, instr_mat, mt)
+            self._fold_metrics(m, mt, inc[..., _INSTR], work, stalled, frozen)
 
             if any_tel:
                 for i in range(m):
@@ -1069,8 +1169,8 @@ class _StepwiseGroup(_GroupBase):
 
     def _finish(self) -> None:
         self._finish_metrics()
-        self._finish_processes(self.pos)
-        for _rows, finj in self.fault_cohorts:
+        self._finish_processes()
+        for _rows, _ix, finj in self.fault_cohorts:
             finj.flush_all()
         for i, sim in enumerate(self.sims):
             su_list = self.su[i].tolist()
@@ -1094,31 +1194,23 @@ class _FusedGroup(_GroupBase):
         dt = self.dt
         C = self.n_cores
         nb = self.n_blocks
+        U = self.n_units
         op_batch = self.op.apply_batch
-        n = len(self.members)
         n_steps = self.n_steps
-        sims = self.sims
-
-        tid = np.empty((n, C), dtype=np.int64)
-        base_pos = np.empty((n, C), dtype=np.int64)
-        positions = np.zeros((n, C))
-        for i, s in enumerate(sims):
-            for c in range(C):
-                proc = s.scheduler.process_on(c)
-                # Unthrottled runs never migrate: core c's process is
-                # pid c's process for the whole run.
-                tid[i, c] = self.tid_pid[i, proc.pid]
-                base_pos[i, c] = int(proc.position)
-                positions[i, proc.pid] = proc.position
-        ns = self.pool_ns[tid]  # (N, C)
+        fold = self.fold
+        # Every core works a full dt each step: no stalls, no freezes.
+        fold[:, _F_WORK, 1:] = dt
+        # Unthrottled runs never migrate, so each slot keeps its process
+        # and its position advances one sample per step.
+        base_pos = self.prog[:, :, _POS].astype(np.int64)
+        p = np.empty((len(self.members), nb))
 
         chunk = 512
-        alive = n
+        alive = len(self.members)
         start = 0
         total_steps = n_steps[0]
         any_tel = any(st > 0 for st in self.tel_stride)
         tel_scales = [1.0] * C
-        nominal = self.nominal_cycles
 
         while start < total_steps:
             while alive > 0 and n_steps[alive - 1] <= start:
@@ -1130,15 +1222,14 @@ class _FusedGroup(_GroupBase):
             k = end - start
             steps = np.arange(start, end)
 
-            idx = (base_pos[:m, :, None] + steps[None, None, :]) % ns[
-                :m, :, None
-            ]  # (m, C, k)
-            tsel = tid[:m, :, None]
-            u = self.unit_pool[tsel, idx]      # (m, C, k, U)
-            l2g = self.l2_pool[tsel, idx]      # (m, C, k)
-            ig = self.instr_pool[tsel, idx]
-            rg = self.int_pool[tsel, idx]
-            fg = self.fp_pool[tsel, idx]
+            idx = (base_pos[:m, :, None] + steps[None, None, :]) % (
+                self.slot_len[:m, :, None]
+            )
+            idx += self.slot_base[:m, :, None]
+            sample = self.pool.take(idx, axis=0)  # (m, C, k, U + 4)
+            u = sample[..., :U]
+            l2g = sample[..., U + _L2]  # (m, C, k)
+            ig = sample[..., U + _INSTR]
 
             dyn = np.empty((m, k, nb))
             total_l2 = np.zeros((m, k))
@@ -1155,32 +1246,14 @@ class _FusedGroup(_GroupBase):
 
             T = self.T
             for j in range(k):
-                leak = self.ref_w[:m] * np.exp(
-                    self.leak_beta
-                    * (
-                        np.minimum(T[:m, :nb], self.leak_cap)
-                        - self.leak_tref
-                    )
-                )
-                p = dyn[:, j, :] + leak
-                nT = op_batch(T[:m], p)
+                pj = p[:m]
+                np.add(dyn[:, j, :], self._leakage(m), out=pj)
+                nT = op_batch(T[:m], pj)
                 T[:m] = nT
                 # Row max is a selection reduction — exact regardless of
                 # reduction order, so the batched axis-max matches the
                 # scalar engine's per-chip max bit for bit.
-                mtj = nT[:, :nb].max(axis=1)
-                # Metrics fold: work dt per core, no stalls, no freezes.
-                self.wall[:m] += dt
-                tmp = np.zeros(m)
-                for c in range(C):
-                    self.work_t[:m] += dt
-                    self.pci[:m, c] += ig[:, c, j]
-                    tmp += ig[:, c, j]
-                self.instr_tot[:m] += tmp
-                hotter = mtj > self.max_t[:m]
-                np.copyto(self.max_t[:m], mtj, where=hotter)
-                em = self.emerg[:m]
-                em[mtj > self.emerg_thresh[:m]] += dt
+                self._fold_metrics(m, nT[:, :nb].max(axis=1), ig[:, :, j])
                 if any_tel:
                     g_step = start + j
                     for i in range(m):
@@ -1189,23 +1262,22 @@ class _FusedGroup(_GroupBase):
 
             # Counter folds: sequential left folds over the chunk,
             # seeded with the running totals (np.add.accumulate is a
-            # strict left fold, unlike pairwise np.sum).
-            for arr, gathered in (
-                (self.c_instr, ig),
-                (self.c_int, rg),
-                (self.c_fp, fg),
-            ):
-                seeded = np.concatenate(
-                    [arr[:m, :, None], gathered], axis=2
+            # strict left fold, unlike pairwise np.sum), one counter at
+            # a time to bound the temporaries. Instruction and RF-access
+            # counters add the trace samples; cycles and adjusted cycles
+            # the nominal count (full speed: adv = 1).
+            seeded = np.empty((m, C, k + 1))
+            for col in range(_POS):
+                seeded[:, :, 0] = self.prog[:m, :, col]
+                seeded[:, :, 1:] = (
+                    sample[..., U + col] if col <= _FP else self.nominal_cycles
                 )
-                arr[:m] = np.add.accumulate(seeded, axis=2)[:, :, -1]
-            const = np.full((m, C, k), nominal)
-            for arr in (self.c_cyc, self.c_adj):
-                seeded = np.concatenate([arr[:m, :, None], const], axis=2)
-                arr[:m] = np.add.accumulate(seeded, axis=2)[:, :, -1]
-            positions[:m] += float(k)
+                self.prog[:m, :, col] = np.add.accumulate(seeded, axis=2)[
+                    :, :, -1
+                ]
+            self.prog[:m, :, _POS] += float(k)
 
             start = end
 
         self._finish_metrics()
-        self._finish_processes(positions)
+        self._finish_processes()

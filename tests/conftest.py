@@ -21,6 +21,39 @@ from repro.thermal.package import HIGH_PERFORMANCE_PACKAGE
 from repro.uarch.config import MachineConfig
 from repro.uarch.tracegen import generate_trace
 
+try:
+    from hypothesis import settings as hypothesis_settings
+except ImportError:  # the property tests skip without Hypothesis
+    hypothesis_settings = None
+
+if hypothesis_settings is not None:
+    # ``pytest --hypothesis-profile=ci`` runs every property test with at
+    # least this many examples (see pytest_collection_modifyitems); the
+    # default profile leaves each test's own ``@settings`` count alone.
+    hypothesis_settings.register_profile("ci", max_examples=100, deadline=None)
+
+
+def pytest_collection_modifyitems(config, items):
+    """Under the ``ci`` profile, lift each property test's example count.
+
+    A test's explicit ``@settings(max_examples=...)`` outranks any
+    profile, so the profile's count is applied here as a floor.
+    """
+    if (
+        hypothesis_settings is None
+        or config.getoption("hypothesis_profile", None) != "ci"
+    ):
+        return
+    floor = hypothesis_settings.get_profile("ci").max_examples
+    for item in items:
+        test = getattr(item, "obj", None)
+        test = getattr(test, "__func__", test)  # a method's function
+        own = getattr(test, "_hypothesis_internal_use_settings", None)
+        if own is not None and own.max_examples < floor:
+            test._hypothesis_internal_use_settings = hypothesis_settings(
+                own, max_examples=floor
+            )
+
 
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_result_cache(tmp_path_factory):

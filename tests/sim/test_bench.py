@@ -8,9 +8,13 @@ from repro.sim.bench import (
     DEFAULT_TOLERANCE,
     ENGINE_BENCH_CASES,
     SCHEMA,
+    _scalar_twin,
+    build_fleet_engine,
+    build_simulator,
     case_config,
     case_steps,
     compare_to_baseline,
+    fleet_n1_ratios,
     load_bench_json,
     write_bench_json,
 )
@@ -48,6 +52,32 @@ class TestCaseList:
         # 0.02 s at the 100k-cycle / 3.6 GHz sample period = 720 steps.
         short = next(c for c in ENGINE_BENCH_CASES if c.duration_s == 0.02)
         assert case_steps(short) == 720
+
+
+class TestFleetN1Cases:
+    FLEET = [c for c in ENGINE_BENCH_CASES if c.engine == "fleet"]
+
+    def test_each_fleet_case_has_a_scalar_twin(self):
+        assert {c.key for c in self.FLEET} == {
+            "fleet-n1-unthrottled", "fleet-n1-stopgo", "fleet-n1-dvfs"
+        }
+        twins = {_scalar_twin(c).key for c in self.FLEET}
+        assert twins == {"unthrottled", "stopgo", "dvfs"}
+
+    def test_builds_a_one_member_fleet(self):
+        case = self.FLEET[0]
+        engine = build_fleet_engine(case)
+        assert len(engine.members) == 1
+        assert engine.members[0].sim.config == case_config(case)
+        with pytest.raises(ValueError):
+            build_simulator(case)
+        with pytest.raises(ValueError):
+            build_fleet_engine(_scalar_twin(case))
+
+    def test_ratio_is_fleet_over_twin(self):
+        payload = _payload(dvfs=1000.0, **{"fleet-n1-dvfs": 250.0})
+        payload["cases"]["fleet-n1-stopgo"] = {"steps_per_second": 9.0}
+        assert fleet_n1_ratios(payload) == {"fleet-n1-dvfs": 0.25}
 
 
 class TestCaseSelectionFlag:

@@ -139,6 +139,44 @@ class TestTaxonomyBitIdentity:
             assert fres.telemetry == ref.telemetry
 
 
+class TestMigrationBitIdentity:
+    """Members that migrate threads keep matching their scalar runs.
+
+    The other batches here run for a few milliseconds and never reach a
+    migration: the OS timer fires every 10 ms. These horizons cross
+    several ticks, mix workloads and horizons (members retire
+    mid-group), and give one member per family the bench fault plan, so
+    DVFS rejections and sensor faults ride along with the moves.
+    """
+
+    FAMILIES = (
+        "global-stop-go-counter",
+        "distributed-stop-go-counter",
+        "distributed-dvfs-sensor",
+    )
+    WORKLOADS = (("workload2", 0.04), ("workload7", 0.03), ("workload11", 0.035))
+
+    def test_migrating_members_match_scalar(self):
+        members = []
+        for key in self.FAMILIES:
+            spec = spec_by_key(key)
+            for name, horizon in self.WORKLOADS:
+                members.append(
+                    (get_workload(name), spec, SimulationConfig(duration_s=horizon))
+                )
+            faulted = SimulationConfig(
+                duration_s=0.04, fault_plan=_bench_fault_plan(0.04)
+            )
+            members.append((W7, spec, faulted))
+        engine = FleetEngine(members)
+        results = engine.run()
+        for result, member, (workload, spec, cfg) in zip(
+            results, engine.members, members
+        ):
+            assert member.sim.scheduler.total_migrations > 0
+            assert_member_matches_scalar(result, member.sim, workload, spec, cfg)
+
+
 class TestBatchStructureInvariance:
     """Satellite: batch composition must never leak into results."""
 
