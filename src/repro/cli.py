@@ -54,9 +54,10 @@ and ``--telemetry-out PREFIX`` writes the run's observability bundle
 (result + time series + Prometheus snapshot + events); ``report``
 renders a bundle as an ASCII or ``--html`` dashboard and ``report
 --diff A B`` compares two bundles metric-by-metric; ``compare
---trace-out FILE`` exports the batch's per-worker spans as a Chrome
-trace; the global ``--log-level debug|info|warning|error`` flag turns
-on structured logging on stderr. See ``docs/OBSERVABILITY.md``.
+--trace-out FILE`` traces the batch and exports its point spans (one
+lane per worker process) as a Chrome trace; the global ``--log-level
+debug|info|warning|error`` flag turns on structured logging on stderr.
+See ``docs/OBSERVABILITY.md``.
 
 The global ``--jobs N`` flag fans independent simulations out over N
 worker processes (``--jobs 0`` = all cores), and results are cached
@@ -76,6 +77,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import List, Optional
 
 from repro.core.taxonomy import ALL_POLICY_SPECS, spec_by_key
@@ -183,8 +185,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--trace-out", default=None, metavar="FILE",
-        help="write the profiled engine sections as Chrome trace-event "
-             "JSON (requires --profile)",
+        help="write the run and its profiled engine sections as Chrome "
+             "trace-event JSON (requires --profile)",
     )
     run.add_argument(
         "--fault-spec", default=None, metavar="FILE",
@@ -240,8 +242,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="save per-run results as JSON")
     compare.add_argument(
         "--trace-out", default=None, metavar="FILE",
-        help="export the batch's per-worker execution spans as Chrome "
-             "trace-event JSON",
+        help="trace the batch and export its point, fleet-group and "
+             "engine-section spans as Chrome trace-event JSON",
     )
 
     experiment = sub.add_parser(
@@ -366,6 +368,12 @@ def _cmd_run(args) -> int:
     from dataclasses import replace
 
     from repro.obs import TelemetrySampler
+    from repro.obs.tracing import (
+        KIND_POINT,
+        NULL_TRACER,
+        SpanRecorder,
+        section_spans,
+    )
 
     if args.trace_out and not args.profile:
         print("error: --trace-out requires --profile", file=sys.stderr)
@@ -392,14 +400,23 @@ def _cmd_run(args) -> int:
     sampler = (
         TelemetrySampler(sample_period) if sample_period is not None else None
     )
+    tracer = SpanRecorder() if args.trace_out else NULL_TRACER
     if event_log is not None or profiler is not None or sampler is not None:
         # Observability capture needs the simulation to actually run, so
         # instrumented runs execute inline instead of consulting the
         # result cache (results are identical either way).
-        result = run_workload(
-            workload, spec, config,
-            event_log=event_log, profiler=profiler, telemetry=sampler,
-        )
+        with tracer.span(
+            f"{args.policy} on {args.workload}", KIND_POINT, mode="inline"
+        ) as run_span:
+            started = time.time()
+            result = run_workload(
+                workload, spec, config,
+                event_log=event_log, profiler=profiler, telemetry=sampler,
+            )
+        if args.trace_out:
+            tracer.extend(
+                section_spans(run_span.context, started, profiler.totals())
+            )
     else:
         result = get_default_runner().run_workload(workload, spec, config)
     print(result.summary())
@@ -439,15 +456,9 @@ def _cmd_run(args) -> int:
         print(render_engine_sections(profiler.totals(),
                                      title="engine sections:"))
     if args.trace_out:
-        from repro.obs import profile_trace_events, write_chrome_trace
+        from repro.obs import span_trace_events, write_chrome_trace
 
-        write_chrome_trace(
-            profile_trace_events(
-                profiler.as_dict(),
-                label=f"{args.policy} on {args.workload}",
-            ),
-            args.trace_out,
-        )
+        write_chrome_trace(span_trace_events(tracer.spans()), args.trace_out)
         print(f"\nengine trace -> {args.trace_out}")
     if args.telemetry_out:
         from repro.obs import write_bundle
@@ -527,12 +538,15 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from repro.obs.tracing import SpanRecorder
     from repro.sim.runner import RunPoint
 
     workload = get_workload(args.workload)
     config = _config(args.duration)
+    tracer = SpanRecorder() if args.trace_out else None
     results = get_default_runner().run_points(
-        [RunPoint(workload, spec, config) for spec in ALL_POLICY_SPECS]
+        [RunPoint(workload, spec, config) for spec in ALL_POLICY_SPECS],
+        tracer=tracer,
     )
     for result in results:
         print(result.summary())
@@ -546,9 +560,9 @@ def _cmd_compare(args) -> int:
         path = save_results(results, args.output)
         print(f"\nresults saved to {path}")
     if args.trace_out:
-        from repro.obs import runner_trace_events, write_chrome_trace
+        from repro.obs import span_trace_events, write_chrome_trace
 
-        events = runner_trace_events(get_default_runner().stats.reports)
+        events = span_trace_events(tracer.spans())
         write_chrome_trace(events, args.trace_out)
         print(
             f"runner trace ({len(events)} events) -> {args.trace_out}"
@@ -739,8 +753,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"{'off' if runner.cache is None else runner.cache.root})",
                 file=sys.stderr,
             )
-        if stats.section_totals:
-            print(stats.profile_summary(), file=sys.stderr)
 
 
 if __name__ == "__main__":

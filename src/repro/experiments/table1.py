@@ -285,10 +285,7 @@ def compute(
         for cohort in cohorts
     ]
     cohort_readings = runner.map_cached(
-        "table1-readings",
-        _measure_point,
-        points,
-        labels=[f"table1/{'+'.join(cohort)}" for cohort in cohorts],
+        "table1-readings", _measure_point, points
     )
     all_readings = [r for readings in cohort_readings for r in readings]
     rows = []

@@ -44,10 +44,8 @@ from repro.obs.events import (
     read_jsonl,
 )
 from repro.obs.exporters import (
-    profile_trace_events,
     prometheus_text,
     read_series_jsonl,
-    runner_trace_events,
     span_trace_events,
     write_chrome_trace,
     write_prometheus,
@@ -65,7 +63,6 @@ from repro.obs.profiler import (
     NullProfiler,
     StepProfiler,
     render_engine_sections,
-    render_sections,
     sorted_sections,
 )
 from repro.obs.tracing import (
@@ -117,7 +114,6 @@ __all__ = [
     "diff_metrics",
     "get_logger",
     "load_bundle",
-    "profile_trace_events",
     "prometheus_text",
     "read_jsonl",
     "read_series_jsonl",
@@ -125,9 +121,7 @@ __all__ = [
     "render_diff",
     "render_engine_sections",
     "render_html",
-    "render_sections",
     "render_waterfall",
-    "runner_trace_events",
     "sorted_sections",
     "span_from_dict",
     "span_trace_events",

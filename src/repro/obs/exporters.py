@@ -11,12 +11,13 @@ Four serialisations of the observability layer's data, all dependency-free:
   :class:`~repro.obs.telemetry.MetricsRegistry` snapshot in the
   Prometheus text exposition format (``# HELP`` / ``# TYPE`` comments,
   cumulative histogram buckets);
-* :func:`profile_trace_events` / :func:`runner_trace_events` /
-  :func:`write_chrome_trace` — Chrome trace-event JSON (the format
-  Perfetto and ``chrome://tracing`` load) built from
-  :class:`~repro.obs.profiler.StepProfiler` sections and
-  :class:`~repro.sim.runner.ParallelRunner` per-worker spans, with
-  run -> section nesting and one lane per worker process.
+* :func:`span_trace_events` / :func:`write_chrome_trace` — Chrome
+  trace-event JSON (the format Perfetto and ``chrome://tracing`` load)
+  built from :class:`~repro.obs.tracing.Span` s, one lane per recording
+  process. Every trace the package writes goes through it: served jobs,
+  ``repro compare --trace-out`` (the runner's point, fleet-group and
+  section spans) and ``repro run --profile --trace-out`` (engine
+  sections as spans under one run span).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import math
 import os
 from typing import Dict, List, Optional, Sequence, TextIO, Union
 
-from repro.obs.profiler import ENGINE_SECTIONS
 from repro.obs.telemetry import MetricsRegistry, TelemetrySeries
 
 #: Schema identifier of the JSONL series export's header record.
@@ -231,105 +231,6 @@ def _metadata_event(kind: str, name: str, pid: int, tid: int = 0) -> Dict:
         "tid": tid,
         "args": {"name": name},
     }
-
-
-def profile_trace_events(
-    profile: Dict[str, Dict[str, float]],
-    label: str = "engine run",
-    pid: int = 0,
-    tid: int = 0,
-    start_ts_us: float = 0.0,
-) -> List[Dict]:
-    """Trace events for one profiled run's engine sections.
-
-    ``profile`` is :meth:`repro.obs.profiler.StepProfiler.as_dict`
-    output. The run becomes one enclosing span; each section becomes a
-    child span nested inside it, laid out sequentially in canonical
-    section order (sections are per-step aggregates, so the layout shows
-    *shares*, not original interleaving — counts/mean/max ride along in
-    ``args``).
-    """
-    ordered = [n for n in ENGINE_SECTIONS if n in profile] + [
-        n for n in profile if n not in ENGINE_SECTIONS
-    ]
-    total_us = sum(profile[n]["total_s"] for n in ordered) * 1e6
-    events = [
-        _metadata_event("process_name", "repro engine", pid),
-        _complete_event(
-            label,
-            "run",
-            start_ts_us,
-            total_us,
-            pid,
-            tid,
-            {"sections": len(ordered)},
-        ),
-    ]
-    cursor = start_ts_us
-    for name in ordered:
-        stats = profile[name]
-        dur_us = stats["total_s"] * 1e6
-        events.append(
-            _complete_event(
-                name,
-                "section",
-                cursor,
-                dur_us,
-                pid,
-                tid,
-                {
-                    "count": stats["count"],
-                    "mean_us": stats["mean_s"] * 1e6,
-                    "max_us": stats["max_s"] * 1e6,
-                },
-            )
-        )
-        cursor += dur_us
-    return events
-
-
-def runner_trace_events(reports: Sequence) -> List[Dict]:
-    """Trace events for a batch of :class:`~repro.sim.runner.PointReport` s.
-
-    One lane (trace ``pid``) per worker process, one span per simulated
-    point placed at its recorded wall-clock start, and — when the point
-    was profiled — its engine sections nested inside the span. Cache
-    hits are skipped (they have no execution span).
-    """
-    spans = [r for r in reports if not r.cache_hit and r.elapsed_s > 0]
-    if not spans:
-        return []
-    t0 = min(r.started_at for r in spans)
-    events: List[Dict] = []
-    for pid in sorted({r.pid for r in spans}):
-        events.append(_metadata_event("process_name", f"worker pid {pid}", pid))
-    for report in spans:
-        ts_us = (report.started_at - t0) * 1e6
-        dur_us = report.elapsed_s * 1e6
-        events.append(
-            _complete_event(
-                report.label,
-                "run",
-                ts_us,
-                dur_us,
-                report.pid,
-                0,
-                {"cache_key": report.key[:12]},
-            )
-        )
-        if report.sections:
-            cursor = ts_us
-            ordered = [n for n in ENGINE_SECTIONS if n in report.sections] + [
-                n for n in report.sections if n not in ENGINE_SECTIONS
-            ]
-            for name in ordered:
-                section_us = report.sections[name] * 1e6
-                events.append(
-                    _complete_event(name, "section", cursor, section_us,
-                                    report.pid, 0)
-                )
-                cursor += section_us
-    return events
 
 
 def span_trace_events(spans: Sequence) -> List[Dict]:

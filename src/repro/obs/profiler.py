@@ -11,7 +11,9 @@ entry and no allocation on the hot path.
 Profiling reads the clock but never feeds anything back into the
 simulation, so profiled runs produce byte-identical results to
 unprofiled ones; when no profiler is supplied the engine uses
-:data:`NULL_PROFILER`, whose sections are reusable no-ops.
+:data:`NULL_PROFILER`, whose sections are reusable no-ops. Traces carry
+a profiler's :meth:`~StepProfiler.totals` as ``section`` spans
+(:func:`repro.obs.tracing.section_spans`).
 """
 
 from __future__ import annotations
@@ -45,20 +47,15 @@ class _Section:
 
 
 class StepProfiler:
-    """Accumulates wall time and entry counts per named section."""
+    """Accumulates wall time per named section."""
 
     def __init__(self) -> None:
         """Start with no sections and zero accumulated time."""
         self._totals: Dict[str, float] = {}
-        self._counts: Dict[str, int] = {}
-        self._maxes: Dict[str, float] = {}
         self._sections: Dict[str, _Section] = {}
 
     def _record(self, name: str, elapsed: float) -> None:
         self._totals[name] = self._totals.get(name, 0.0) + elapsed
-        self._counts[name] = self._counts.get(name, 0) + 1
-        if elapsed > self._maxes.get(name, 0.0):
-            self._maxes[name] = elapsed
 
     def section(self, name: str) -> _Section:
         """A context manager charging its body's wall time to ``name``."""
@@ -67,50 +64,9 @@ class StepProfiler:
             section = self._sections[name] = _Section(self, name)
         return section
 
-    # -- results -----------------------------------------------------------
-
     def totals(self) -> Dict[str, float]:
         """Accumulated seconds per section."""
         return dict(self._totals)
-
-    def counts(self) -> Dict[str, int]:
-        """Number of entries per section."""
-        return dict(self._counts)
-
-    def maxes(self) -> Dict[str, float]:
-        """Longest single entry (seconds) per section."""
-        return dict(self._maxes)
-
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        """Per-section statistics: total, count, and derived mean/max.
-
-        Merged-in totals (:meth:`merge`) carry no entry counts, so their
-        sections report ``count`` 0 and ``mean_s``/``max_s`` 0.0.
-        """
-        out: Dict[str, Dict[str, float]] = {}
-        for name, total in self._totals.items():
-            count = self._counts.get(name, 0)
-            out[name] = {
-                "total_s": total,
-                "count": count,
-                "mean_s": total / count if count else 0.0,
-                "max_s": self._maxes.get(name, 0.0),
-            }
-        return out
-
-    @property
-    def total_s(self) -> float:
-        """Total profiled wall time across all sections."""
-        return sum(self._totals.values())
-
-    def merge(self, totals: Dict[str, float]) -> None:
-        """Fold another run's section totals into this profiler."""
-        for name, elapsed in totals.items():
-            self._totals[name] = self._totals.get(name, 0.0) + elapsed
-
-    def render(self, title: Optional[str] = None) -> str:
-        """A small fixed-width table of sections, hottest first."""
-        return render_sections(self._totals, title=title)
 
 
 class _NullSection:
@@ -148,23 +104,6 @@ NULL_PROFILER = NullProfiler()
 def sorted_sections(totals: Dict[str, float]) -> List[Tuple[str, float]]:
     """Sections sorted hottest-first."""
     return sorted(totals.items(), key=lambda kv: kv[1], reverse=True)
-
-
-def render_sections(totals: Dict[str, float], title: Optional[str] = None) -> str:
-    """Render section totals as an aligned text table, hottest first."""
-    lines = []
-    if title:
-        lines.append(title)
-    grand = sum(totals.values())
-    if not totals:
-        lines.append("  (no profiled sections)")
-        return "\n".join(lines)
-    width = max(len(name) for name in totals)
-    for name, elapsed in sorted_sections(totals):
-        share = elapsed / grand if grand > 0 else 0.0
-        lines.append(f"  {name:{width}s}  {elapsed * 1000:9.2f} ms  {share:6.1%}")
-    lines.append(f"  {'total':{width}s}  {grand * 1000:9.2f} ms")
-    return "\n".join(lines)
 
 
 def render_engine_sections(

@@ -26,6 +26,11 @@ clocks, never feeds anything back into a simulation (traced runs are
 bit-identical to untraced ones), and no trace state enters the
 result-cache key (``tests/sim/test_tracing.py`` enforces both).
 
+Spans are the only timing record above the engine. The runner's
+per-point timing is its ``point`` spans, engine step-profiler totals
+become ``section`` leaf spans (:func:`section_spans`), and every Chrome
+trace the package writes is built from spans.
+
 Rendering/export: :func:`render_waterfall` draws an ASCII waterfall
 (``repro trace <file>``); :func:`repro.obs.exporters.span_trace_events`
 converts spans to Chrome trace-event JSON; the serve server returns
@@ -349,14 +354,13 @@ def section_spans(
     parent: TraceContext,
     started_at: float,
     sections: Dict[str, float],
-    pid: Optional[int] = None,
 ) -> List[Span]:
     """Engine :class:`~repro.obs.profiler.StepProfiler` totals as leaf spans.
 
-    Sections are per-step aggregates, so — exactly like the Chrome-trace
-    exporter — they are laid out *sequentially* from the parent span's
-    start in canonical engine order: the waterfall shows shares of the
-    run, not the original per-step interleaving.
+    Sections are per-step aggregates, so they are laid out
+    *sequentially* from the parent span's start in canonical engine
+    order: the waterfall and the Chrome trace show shares of the run,
+    not the original per-step interleaving.
     """
     from repro.obs.profiler import ENGINE_SECTIONS
 
@@ -365,23 +369,13 @@ def section_spans(
     ]
     spans: List[Span] = []
     cursor = started_at
-    pid = pid if pid is not None else os.getpid()
     for name in ordered:
-        elapsed = sections[name]
-        child = parent.child()
         spans.append(
-            Span(
-                name=name,
-                kind=KIND_SECTION,
-                trace_id=child.trace_id,
-                span_id=child.span_id,
-                parent_id=child.parent_id,
-                started_at=cursor,
-                elapsed_s=elapsed,
-                pid=pid,
+            finished_span(
+                parent.child(), name, KIND_SECTION, cursor, sections[name]
             )
         )
-        cursor += elapsed
+        cursor += sections[name]
     return spans
 
 

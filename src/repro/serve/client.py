@@ -22,13 +22,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import urlparse
 
-from repro.obs.tracing import (
-    KIND_CLIENT,
-    NULL_TRACER,
-    SpanRecorder,
-    TraceContext,
-    finished_span,
-)
+from repro.obs.tracing import KIND_CLIENT, NULL_TRACER, SpanRecorder, TraceContext
 
 
 class ServeError(Exception):
@@ -109,16 +103,15 @@ class ServeClient:
             if body is not None else None
         )
         headers = {"Content-Type": "application/json"} if data else {}
-        context: Optional[TraceContext] = None
-        if self.tracing:
-            context = TraceContext.new()
-            headers["traceparent"] = context.to_traceparent()
-            self.last_trace = context
         self.last_attempts = 0
         self.last_attempt_latencies_s = []
-        # The client span IS the remote trace's parent: _ClientSpan
-        # records at the minted context rather than childing a new one.
-        with _ClientSpan(self.recorder, context, method, path) as cspan:
+        recorder = self.recorder if self.tracing else NULL_TRACER
+        with recorder.span(f"{method} {path}", KIND_CLIENT) as cspan:
+            # The client span IS the remote trace's parent: its minted
+            # root context goes out as the traceparent header.
+            if cspan.context is not None:
+                headers["traceparent"] = cspan.context.to_traceparent()
+                self.last_trace = cspan.context
             # Two transport attempts at most: the first may hit a stale
             # keep-alive connection (server closed between requests);
             # the retry runs on a fresh connection. Each attempt records
@@ -225,47 +218,3 @@ class ServeClient:
                     f"after {timeout_s:g} s"
                 )
             time.sleep(poll_s)
-
-
-class _ClientSpan:
-    """Times one client request at its pre-minted trace context.
-
-    The ``traceparent`` header carries the *client span's* ids, so the
-    span recorded here must reuse that exact context — the server parents
-    its request span on it, stitching client and server into one trace.
-    With ``context=None`` (tracing off) this is a no-op.
-    """
-
-    __slots__ = ("_recorder", "_context", "_name", "_attrs", "_started_at",
-                 "_t0")
-
-    def __init__(self, recorder, context: Optional[TraceContext],
-                 method: str, path: str):
-        self._recorder = recorder
-        self._context = context
-        self._name = f"{method} {path}"
-        self._attrs: Dict[str, object] = {}
-        self._started_at = 0.0
-        self._t0 = 0.0
-
-    def annotate(self, **attrs) -> None:
-        """Attach attributes to the eventual span (no-op untraced)."""
-        self._attrs.update(attrs)
-
-    def __enter__(self) -> "_ClientSpan":
-        self._started_at = time.time()
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._context is None:
-            return
-        if exc_type is not None:
-            self._attrs.setdefault("error", f"{exc_type.__name__}: {exc}")
-        self._recorder.record(
-            finished_span(
-                self._context, self._name, KIND_CLIENT,
-                self._started_at, time.perf_counter() - self._t0,
-                **self._attrs,
-            )
-        )

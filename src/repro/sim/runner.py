@@ -19,9 +19,13 @@ another. This module exploits that:
   are bit-identical to serial ones (the simulation itself is fully
   deterministic given its seeded configuration).
 
-Observability: the runner keeps a :class:`RunnerStats` ledger with
-per-point timings and cache hit/miss/simulated counters; ``stats.summary()``
-is a one-line report the CLI prints after each command.
+Observability: the runner keeps a :class:`RunnerStats` ledger of cache
+hit/miss/simulated counters and simulated wall time; ``stats.summary()``
+is a one-line report the CLI prints after each command. Per-point timing
+is recorded as :class:`~repro.obs.tracing.Span` s: give the runner a
+:class:`~repro.obs.tracing.SpanRecorder` and every point (cache hit,
+fleet member or pool execution) leaves a ``point`` span, pool points
+with the engine's profiler sections as ``section`` leaf spans beneath.
 """
 
 from __future__ import annotations
@@ -37,13 +41,13 @@ import tempfile
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.taxonomy import PolicySpec
 from repro.obs.logconfig import get_logger
-from repro.obs.profiler import StepProfiler, render_sections
+from repro.obs.profiler import StepProfiler
 from repro.obs.telemetry import MetricsRegistry
 from repro.obs.tracing import (
     KIND_EXECUTE,
@@ -51,6 +55,7 @@ from repro.obs.tracing import (
     KIND_POINT,
     NULL_TRACER,
     NullRecorder,
+    Span,
     SpanRecorder,
     TraceContext,
     finished_span,
@@ -629,62 +634,23 @@ class ResultCache:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpanTiming:
-    """Wall-clock span of one worker-side execution (picklable)."""
-
-    #: Epoch seconds (``time.time``) at execution start, comparable
-    #: across worker processes — the Chrome-trace exporter aligns every
-    #: span against the batch's earliest start.
-    started_at: float
-    elapsed_s: float
-    #: OS pid of the executing process (a pool worker, or the parent for
-    #: inline execution) — one trace lane per pid.
-    pid: int
-
-
-@dataclass(frozen=True)
-class PointReport:
-    """Observability record for one executed (or cache-served) point."""
-
-    label: str
-    key: str
-    cache_hit: bool
-    elapsed_s: float
-    #: Engine step-profiler section totals (seconds) when the runner was
-    #: constructed with ``profile=True`` and the point was simulated
-    #: (cache hits carry no sections).
-    sections: Optional[Dict[str, float]] = None
-    #: Execution-span start (epoch seconds) and worker pid; zero for
-    #: cache hits. :func:`repro.obs.exporters.runner_trace_events` turns
-    #: these into per-worker Chrome-trace lanes.
-    started_at: float = 0.0
-    pid: int = 0
-
-
 @dataclass
 class RunnerStats:
-    """Counters and per-point timings accumulated across runner calls."""
+    """Counters and simulated wall time accumulated across runner calls.
+
+    Per-point timing lives in ``point`` spans: pass a
+    :class:`~repro.obs.tracing.SpanRecorder` as the runner's ``tracer``.
+    """
 
     cache_hits: int = 0
     cache_misses: int = 0
     simulated: int = 0
     elapsed_s: float = 0.0
-    reports: List[PointReport] = field(default_factory=list)
-    #: Aggregated engine-section wall time across every profiled point.
-    section_totals: Dict[str, float] = field(default_factory=dict)
 
     @property
     def points(self) -> int:
         """Total points served (cache hits + simulations)."""
         return self.cache_hits + self.simulated
-
-    def add_sections(self, sections: Dict[str, float]) -> None:
-        """Fold one profiled point's section totals into the roll-up."""
-        for name, elapsed in sections.items():
-            self.section_totals[name] = (
-                self.section_totals.get(name, 0.0) + elapsed
-            )
 
     def summary(self) -> str:
         """One-line report, e.g. ``48 points: 12 simulated, 36 cached ...``."""
@@ -693,59 +659,25 @@ class RunnerStats:
             f"{self.cache_hits} cached in {self.elapsed_s:.2f} s"
         )
 
-    def profile_summary(self) -> str:
-        """Hottest engine sections across all profiled points."""
-        return render_sections(
-            self.section_totals, title="engine sections (all simulated points):"
-        )
-
 
 def _execute_point(
-    point: RunPoint,
-) -> Tuple[RunResult, SpanTiming, None, List]:
-    """Process-pool task: simulate one point -> (result, span, None, [])."""
-    started = time.time()
-    t0 = time.perf_counter()
-    result = run_workload(point.workload, point.spec, point.config)
-    span = SpanTiming(started, time.perf_counter() - t0, os.getpid())
-    return result, span, None, []
+    item: Tuple[RunPoint, Optional[TraceContext]],
+) -> Tuple[RunResult, float, List[Span]]:
+    """Process-pool task: simulate one point -> (result, elapsed_s, spans).
 
-
-def _execute_point_profiled(
-    point: RunPoint,
-) -> Tuple[RunResult, SpanTiming, Dict[str, float], List]:
-    """Like :func:`_execute_point`, with the engine step profiler attached.
-
-    The profiler only reads the clock, so the returned result is
-    bit-identical to the unprofiled path; section totals travel back
-    separately and never enter the cached value.
-    """
-    profiler = StepProfiler()
-    started = time.time()
-    t0 = time.perf_counter()
-    result = run_workload(
-        point.workload, point.spec, point.config, profiler=profiler
-    )
-    span = SpanTiming(started, time.perf_counter() - t0, os.getpid())
-    return result, span, profiler.totals(), []
-
-
-def _execute_point_traced(
-    item: Tuple[RunPoint, TraceContext],
-) -> Tuple[RunResult, SpanTiming, Dict[str, float], List]:
-    """Like :func:`_execute_point_profiled`, recording distributed spans.
-
-    The parent :class:`~repro.obs.tracing.TraceContext` arrives pickled
-    inside the work item; the worker builds its own recorder, wraps the
-    simulation in a ``point`` span, mounts the engine step profiler's
-    section totals as leaf spans underneath, and ships the finished
-    spans back with the result for the parent process to merge. Tracing
-    only reads clocks: the result is bit-identical to the untraced
-    executors and never reflects the trace.
+    With a parent :class:`~repro.obs.tracing.TraceContext` (it arrives
+    pickled inside the work item) the worker records into its own
+    :class:`~repro.obs.tracing.SpanRecorder`: a ``point`` span around the
+    simulation and, beneath it, the engine step profiler's section
+    totals as leaf spans; the finished spans travel back with the result
+    for the parent process to merge. Without a parent the point runs
+    unprofiled under :data:`NULL_TRACER`, so the engine keeps its fused
+    path. Tracing only reads clocks: the result is bit-identical either
+    way and never reflects the trace.
     """
     point, parent = item
-    recorder = SpanRecorder()
-    profiler = StepProfiler()
+    recorder = SpanRecorder() if parent is not None else NULL_TRACER
+    profiler = StepProfiler() if parent is not None else None
     with recorder.span(
         point.label, KIND_POINT, parent=parent, mode="pool"
     ) as active:
@@ -755,19 +687,19 @@ def _execute_point_traced(
             point.workload, point.spec, point.config, profiler=profiler
         )
         elapsed = time.perf_counter() - t0
-    sections = profiler.totals()
-    recorder.extend(section_spans(active.context, started, sections))
-    span = SpanTiming(started, elapsed, os.getpid())
-    return result, span, sections, recorder.spans()
+    if profiler is not None:
+        recorder.extend(
+            section_spans(active.context, started, profiler.totals())
+        )
+    return result, elapsed, recorder.spans()
 
 
-def _execute_task(item: Tuple[Callable, object]) -> Tuple[object, SpanTiming]:
+def _execute_task(item: Tuple[Callable, object]) -> Tuple[object, float]:
     """Process-pool task for :meth:`ParallelRunner.map_cached`."""
     fn, payload = item
-    started = time.time()
     t0 = time.perf_counter()
     value = fn(payload)
-    return value, SpanTiming(started, time.perf_counter() - t0, os.getpid())
+    return value, time.perf_counter() - t0
 
 
 class ParallelRunner:
@@ -783,31 +715,29 @@ class ParallelRunner:
         version: Code-version string folded into every cache key;
             defaults to :func:`code_version`. Tests pin it to make keys
             independent of the working tree.
-        profile: When true, every simulated point runs with the engine
-            step profiler attached; per-point section timings land in
-            ``stats.reports`` and are aggregated in
-            ``stats.section_totals``. Profiling never changes results or
-            cache keys.
         backend: ``"pool"`` (default) fans points out over worker
             processes; ``"fleet"`` batches all fleet-eligible points of
             a call into one vectorised
             :class:`~repro.sim.fleet.FleetEngine` stepped in-process,
             falling back to the pool path for ineligible points (sensor
-            guards, hardware trip, series recording) and for profiled
-            runners. Stochastic points — fault plans and sensor noise —
-            are fleet-eligible: the engine replays each member's private
-            RNG streams in step order. Backends produce bit-identical
-            results and identical cache keys.
+            guards, hardware trip, series recording). Stochastic points
+            — fault plans and sensor noise — are fleet-eligible: the
+            engine replays each member's private RNG streams in step
+            order. Backends produce bit-identical results and identical
+            cache keys.
         fleet_chunk: With the fleet backend, cap on how many eligible
             points one :class:`FleetEngine` batch holds; larger batches
             stream through in consecutive chunks so campaign memory
             stays bounded. ``None`` (default) runs one unbounded batch.
         tracer: A :class:`~repro.obs.tracing.SpanRecorder` receiving a
-            distributed span per point (cache-hit, pool or fleet) plus
-            engine-section leaf spans. Default: :data:`NULL_TRACER`,
-            which records nothing and costs nothing. Tracing, like
-            profiling, never changes results or cache keys; unlike
-            profiling it does *not* disable the fleet backend.
+            distributed span per point (cache-hit, pool or fleet), a
+            ``fleet-group`` span per fleet chunk, and engine-section leaf
+            spans under every pool-executed point. Default:
+            :data:`NULL_TRACER`, which records nothing and costs nothing.
+            Tracing never changes results or cache keys. Traced pool
+            points run with the engine step profiler attached, which
+            steps them instead of fusing them; fleet members are not
+            profiled.
 
     Determinism: each simulation derives every random stream from its own
     configuration seed, so a point's result is a pure function of the
@@ -821,7 +751,6 @@ class ParallelRunner:
         jobs: Optional[int] = 1,
         cache: Optional[ResultCache] = None,
         version: Optional[str] = None,
-        profile: bool = False,
         registry: Optional[MetricsRegistry] = None,
         backend: str = "pool",
         fleet_chunk: Optional[int] = None,
@@ -850,7 +779,6 @@ class ParallelRunner:
         #: Substrate pool shared across fleet batches so traces and the
         #: thermal kernel are built once per machine description.
         self._fleet_substrates: Dict[tuple, object] = {}
-        self.profile = bool(profile)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._version = version
         self.stats = RunnerStats()
@@ -893,28 +821,22 @@ class ParallelRunner:
         cache keys and cached values are identical to an untraced call.
         """
         tracer = tracer if tracer is not None else self.tracer
-        traced = not isinstance(tracer, NullRecorder)
-        batch_span = None
-        if traced and trace is None:
-            batch_span = tracer.span(
-                "run_points", KIND_EXECUTE, n_points=len(points)
-            )
-            batch_span.__enter__()
-            trace = batch_span.context
-        try:
-            return self._run_points(points, trace, tracer, traced)
-        finally:
-            if batch_span is not None:
-                batch_span.__exit__(None, None, None)
+        if isinstance(tracer, NullRecorder):
+            return self._run_points(points, None, tracer)
+        if trace is not None:
+            return self._run_points(points, trace, tracer)
+        with tracer.span(
+            "run_points", KIND_EXECUTE, n_points=len(points)
+        ) as batch:
+            return self._run_points(points, batch.context, tracer)
 
     def _run_points(
         self,
         points: Sequence[RunPoint],
         trace: Optional[TraceContext],
         tracer: SpanRecorder,
-        traced: bool,
     ) -> List[RunResult]:
-        """The :meth:`run_points` body, with tracing state resolved."""
+        """The :meth:`run_points` body; ``trace`` is ``None`` untraced."""
         # Points of a batch share their machine, package, workload, spec
         # and fault-plan objects: canonicalize each of those once.
         memo: Dict[int, tuple] = {}
@@ -931,10 +853,7 @@ class ParallelRunner:
                     self.stats.cache_hits += 1
                     if self._ctr_cached is not None:
                         self._ctr_cached.inc()
-                    self.stats.reports.append(
-                        PointReport(points[i].label, key, True, 0.0)
-                    )
-                    if traced:
+                    if trace is not None:
                         tracer.record(
                             finished_span(
                                 trace.child(), points[i].label, KIND_POINT,
@@ -957,50 +876,20 @@ class ParallelRunner:
             len(pending),
             self.jobs,
         )
-        pending_items = [
-            (key, points[idxs[0]]) for key, idxs in pending.items()
-        ]
-        if self.backend == "fleet" and not self.profile:
-            executed = self._execute_fleet(
-                pending_items,
-                trace=trace,
-                tracer=tracer if traced else None,
-            )
-        elif traced:
-            raw = self._execute(
-                [(key, (point, trace)) for key, point in pending_items],
-                _execute_point_traced,
-            )
-            executed = [
-                ((key, item[0]), out) for (key, item), out in raw
-            ]
+        todo = [points[idxs[0]] for idxs in pending.values()]
+        if self.backend == "fleet":
+            outputs = self._execute_fleet(todo, trace, tracer)
         else:
-            executed = self._execute(
-                pending_items,
-                _execute_point_profiled if self.profile else _execute_point,
-            )
-        for (key, point), (value, span, sections, tspans) in executed:
+            outputs = self._execute([(p, trace) for p in todo], _execute_point)
+        for key, (value, elapsed, spans) in zip(pending, outputs):
             for i in pending[key]:
                 results[i] = value
                 done[i] = True
             self.stats.simulated += 1
             if self._ctr_simulated is not None:
                 self._ctr_simulated.inc()
-            self.stats.elapsed_s += span.elapsed_s
-            if tspans:
-                tracer.extend(tspans)
-            # Tracing measures sections for its leaf spans even when the
-            # runner is unprofiled; stats/reports only see them under
-            # profile=True so traced and untraced ledgers stay identical.
-            report_sections = sections if self.profile else None
-            self.stats.reports.append(
-                PointReport(
-                    point.label, key, False, span.elapsed_s, report_sections,
-                    started_at=span.started_at, pid=span.pid,
-                )
-            )
-            if report_sections:
-                self.stats.add_sections(report_sections)
+            self.stats.elapsed_s += elapsed
+            tracer.extend(spans)
             if self.cache is not None:
                 self.cache.put(key, value)
         assert all(done)
@@ -1025,7 +914,6 @@ class ParallelRunner:
         task: str,
         fn: Callable,
         payloads: Sequence,
-        labels: Optional[Sequence[str]] = None,
     ) -> List:
         """Parallel, cached ``[fn(p) for p in payloads]``.
 
@@ -1035,9 +923,6 @@ class ParallelRunner:
         must be canonicalizable; keys cover ``task``, the payload and the
         code version. Results align with ``payloads``.
         """
-        labels = list(labels) if labels is not None else [
-            f"{task}[{i}]" for i in range(len(payloads))
-        ]
         memo: Dict[int, tuple] = {}
         keys = [
             stable_hash(
@@ -1056,28 +941,17 @@ class ParallelRunner:
                     self.stats.cache_hits += 1
                     if self._ctr_cached is not None:
                         self._ctr_cached.inc()
-                    self.stats.reports.append(
-                        PointReport(labels[i], key, True, 0.0)
-                    )
                 else:
                     self.stats.cache_misses += 1
         todo = [i for i in range(len(payloads)) if not done[i]]
-        executed = self._execute(
-            [(i, (fn, payloads[i])) for i in todo], _execute_task
-        )
-        for (i, _item), (value, span) in executed:
+        outputs = self._execute([(fn, payloads[i]) for i in todo], _execute_task)
+        for i, (value, elapsed) in zip(todo, outputs):
             results[i] = value
             done[i] = True
             self.stats.simulated += 1
             if self._ctr_simulated is not None:
                 self._ctr_simulated.inc()
-            self.stats.elapsed_s += span.elapsed_s
-            self.stats.reports.append(
-                PointReport(
-                    labels[i], keys[i], False, span.elapsed_s,
-                    started_at=span.started_at, pid=span.pid,
-                )
-            )
+            self.stats.elapsed_s += elapsed
             if self.cache is not None:
                 self.cache.put(keys[i], value)
         assert all(done)
@@ -1087,102 +961,82 @@ class ParallelRunner:
 
     def _execute_fleet(
         self,
-        tagged_items: Sequence[Tuple],
-        trace: Optional[TraceContext] = None,
-        tracer: Optional[SpanRecorder] = None,
-    ) -> List:
-        """Run ``(key, point)`` items through batched fleet engines.
+        points: Sequence[RunPoint],
+        trace: Optional[TraceContext],
+        tracer: SpanRecorder,
+    ) -> List[Tuple[RunResult, float, List[Span]]]:
+        """Run ``points`` through batched fleet engines.
 
         Fleet-ineligible points (guards, hardware trip, series
-        recording) fall back to the regular :meth:`_execute` path; the
-        returned list keeps input order and the exact ``_execute``
-        output shape, so the caller's stats/caching logic is
-        backend-agnostic. Results are collected by input *position*, so
-        duplicate points within one uncached batch each keep their own
-        output entry and span attribution. Eligible points stream
-        through the engine in ``fleet_chunk``-sized slices (one
-        unbounded batch when unset), sharing the runner's substrate
-        pool, so arbitrarily large campaigns run in bounded memory.
-        Each chunk's wall time is attributed evenly across its points.
+        recording) fall back to :func:`_execute_point` through
+        :meth:`_execute`; the returned list aligns with ``points`` and
+        has that executor's output shape, so the caller's stats/caching
+        logic is backend-agnostic. Eligible points stream through the
+        engine in ``fleet_chunk``-sized slices (one unbounded batch when
+        unset), sharing the runner's substrate pool, so arbitrarily
+        large campaigns run in bounded memory. Each chunk's wall time is
+        attributed evenly across its points.
 
-        With a ``tracer``, each chunk is wrapped in a ``fleet-group``
-        span under ``trace``, every member gets a ``point`` span tagged
-        ``mode="fleet"`` (fleet members execute in-process, so member
-        spans are recorded directly), and pool-fallback points route
-        through the traced pool executor.
+        Traced (``trace`` set), each chunk is wrapped in a
+        ``fleet-group`` span under ``trace`` and every member gets a
+        ``point`` span tagged ``mode="fleet"``; fleet members execute
+        in-process, so their spans go straight into ``tracer``.
         """
         from repro.sim.fleet import FleetEngine, fleet_blockers
 
-        if not tagged_items:
-            return []
-        eligible: List[Tuple[int, Tuple]] = []
-        fallback: List[Tuple[int, Tuple]] = []
-        for idx, ti in enumerate(tagged_items):
-            blockers = fleet_blockers(ti[1].config)
-            (fallback if blockers else eligible).append((idx, ti))
+        eligible: List[int] = []
+        fallback: List[int] = []
+        for idx, point in enumerate(points):
+            blockers = fleet_blockers(point.config)
+            (fallback if blockers else eligible).append(idx)
         logger.debug(
             "fleet batch: %d eligible, %d pool-fallback",
             len(eligible),
             len(fallback),
         )
-        rec = tracer if tracer is not None else NULL_TRACER
-        outputs: List[Optional[Tuple]] = [None] * len(tagged_items)
+        outputs: List[Optional[Tuple]] = [None] * len(points)
         chunk = self.fleet_chunk or len(eligible)
         for lo in range(0, len(eligible), max(1, chunk)):
             part = eligible[lo : lo + chunk]
-            with rec.span(
+            with tracer.span(
                 f"fleet[{lo}:{lo + len(part)}]", KIND_GROUP,
                 parent=trace, members=len(part),
             ) as group:
                 started = time.time()
                 t0 = time.perf_counter()
                 engine = FleetEngine(
-                    [point for _idx, (_key, point) in part],
+                    [points[idx] for idx in part],
                     substrates=self._fleet_substrates,
                 )
                 batch_results = engine.run()
                 per_point = (time.perf_counter() - t0) / len(part)
-            pid = os.getpid()
-            for (idx, (_key, point)), result in zip(part, batch_results):
+            for idx, result in zip(part, batch_results):
                 if group.context is not None:
-                    rec.record(
+                    tracer.record(
                         finished_span(
-                            group.context.child(), point.label, KIND_POINT,
-                            started, per_point, mode="fleet",
+                            group.context.child(), points[idx].label,
+                            KIND_POINT, started, per_point, mode="fleet",
                         )
                     )
-                outputs[idx] = (
-                    result,
-                    SpanTiming(started, per_point, pid),
-                    None,
-                    [],
-                )
-        fb_items = [ti for _idx, ti in fallback]
-        if tracer is not None and fb_items:
-            fb_executed = self._execute(
-                [(key, (point, trace)) for key, point in fb_items],
-                _execute_point_traced,
-            )
-        else:
-            fb_executed = self._execute(fb_items, _execute_point)
-        for (idx, _ti), (_tag, out) in zip(fallback, fb_executed):
+                outputs[idx] = (result, per_point, [])
+        fb_outputs = self._execute(
+            [(points[idx], trace) for idx in fallback], _execute_point
+        )
+        for idx, out in zip(fallback, fb_outputs):
             outputs[idx] = out
-        return list(zip(tagged_items, outputs))
+        return outputs
 
-    def _execute(self, tagged_items: Sequence[Tuple], fn: Callable) -> List:
-        """Run ``fn`` over tagged work items, inline or in a pool.
+    def _execute(self, items: Sequence, fn: Callable) -> List:
+        """``[fn(item) for item in items]``, inline or in a process pool.
 
-        Returns ``[(tag_tuple, fn_result), ...]`` in input order. The
-        pool is only spun up when it can actually help (``jobs > 1`` and
-        more than one item); otherwise execution stays in-process.
+        Outputs align with ``items``. The pool is only spun up when it
+        can actually help (``jobs > 1`` and more than one item);
+        otherwise execution stays in-process.
         """
-        if not tagged_items:
+        if not items:
             return []
-        items = [item for _tag, item in tagged_items]
         if self.jobs == 1 or len(items) == 1:
-            outputs = [fn(item) for item in items]
-        else:
-            workers = min(self.jobs, len(items))
-            with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-                outputs = list(pool.map(fn, items))
-        return list(zip(tagged_items, outputs))
+            return [fn(item) for item in items]
+        workers = min(self.jobs, len(items))
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+            return list(pool.map(fn, items))

@@ -3,21 +3,28 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.obs.exporters import (
     parse_prometheus_text,
-    profile_trace_events,
     prometheus_text,
     read_series_jsonl,
-    runner_trace_events,
+    span_trace_events,
     write_chrome_trace,
     write_series_csv,
     write_series_jsonl,
 )
 from repro.obs.profiler import ENGINE_SECTIONS
 from repro.obs.telemetry import MetricsRegistry, TelemetrySeries
+from repro.obs.tracing import (
+    KIND_POINT,
+    SpanRecorder,
+    TraceContext,
+    finished_span,
+    section_spans,
+)
 
 
 def _series():
@@ -118,59 +125,49 @@ def _valid_trace_event(event):
 
 
 class TestChromeTrace:
-    def _profile(self):
-        return {
-            "sensors": {"total_s": 0.002, "count": 10, "mean_s": 2e-4,
-                        "max_s": 3e-4},
-            "power": {"total_s": 0.006, "count": 10, "mean_s": 6e-4,
-                      "max_s": 7e-4},
-        }
-
-    def test_profile_events_nest_inside_run_span(self):
-        events = profile_trace_events(self._profile(), label="test run")
-        for event in events:
-            _valid_trace_event(event)
-        run = next(e for e in events if e.get("cat") == "run")
-        sections = [e for e in events if e.get("cat") == "section"]
-        assert run["dur"] == pytest.approx(0.008e6)
-        assert len(sections) == 2
-        for s in sections:
-            assert s["ts"] >= run["ts"]
-            assert s["ts"] + s["dur"] <= run["ts"] + run["dur"] + 1e-6
+    def _spans(self):
+        """A point span with engine-section totals laid out beneath it."""
+        recorder = SpanRecorder()
+        with recorder.span("test run", KIND_POINT) as run:
+            pass
+        started_at = recorder.spans()[0].started_at
+        # Non-canonical dict order on purpose.
+        sections = {"power": 0.006, "sensors": 0.002}
+        recorder.extend(section_spans(run.context, started_at, sections))
+        return recorder.spans()
 
     def test_sections_in_canonical_order(self):
-        events = profile_trace_events(self._profile())
+        events = span_trace_events(self._spans())
         names = [e["name"] for e in events if e.get("cat") == "section"]
         canon = [n for n in ENGINE_SECTIONS if n in names]
         assert names == canon
 
     def test_runner_events_lane_per_pid(self):
-        class Report:
-            def __init__(self, pid, started_at, cache_hit=False):
-                self.label = f"point-{pid}"
-                self.key = "k" * 16
-                self.cache_hit = cache_hit
-                self.elapsed_s = 0.5
-                self.sections = {"power": 0.3}
-                self.started_at = started_at
-                self.pid = pid
-
-        reports = [Report(100, 10.0), Report(101, 10.2),
-                   Report(102, 0.0, cache_hit=True)]
-        events = runner_trace_events(reports)
+        """Point spans shipped back by two pool workers get one lane each."""
+        root = TraceContext.new()
+        spans = [
+            replace(
+                finished_span(root.child(), f"point-{pid}", KIND_POINT,
+                              started_at, 0.5, mode="pool"),
+                pid=pid,
+            )
+            for pid, started_at in ((100, 10.0), (101, 10.2))
+        ]
+        events = span_trace_events(spans)
         for event in events:
             _valid_trace_event(event)
         meta = [e for e in events if e["ph"] == "M"]
-        assert {e["pid"] for e in meta} == {100, 101}  # cache hit skipped
-        spans = [e for e in events if e.get("cat") == "run"]
-        assert min(e["ts"] for e in spans) == 0.0  # aligned to first start
+        assert {e["pid"] for e in meta} == {100, 101}
+        points = [e for e in events if e.get("cat") == KIND_POINT]
+        assert min(e["ts"] for e in points) == 0.0  # aligned to first start
+        assert {e["pid"] for e in points} == {100, 101}
 
-    def test_runner_events_empty_without_executions(self):
-        assert runner_trace_events([]) == []
+    def test_span_events_empty_without_spans(self):
+        assert span_trace_events([]) == []
 
     def test_written_file_is_loadable_json(self, tmp_path):
         path = tmp_path / "trace.json"
-        write_chrome_trace(profile_trace_events(self._profile()), path)
+        write_chrome_trace(span_trace_events(self._spans()), path)
         payload = json.loads(path.read_text())
         assert payload["displayTimeUnit"] == "ms"
         assert isinstance(payload["traceEvents"], list)

@@ -9,7 +9,6 @@ from repro.obs.profiler import (
     NULL_PROFILER,
     StepProfiler,
     render_engine_sections,
-    render_sections,
     sorted_sections,
 )
 
@@ -23,58 +22,20 @@ class TestStepProfiler:
         with prof.section("b"):
             pass
         totals = prof.totals()
+        assert set(totals) == {"a", "b"}
         assert totals["a"] >= 0.003
         assert totals["b"] >= 0.0
-        assert prof.counts() == {"a": 3, "b": 1}
-        assert prof.total_s == pytest.approx(sum(totals.values()))
 
     def test_empty_profiler(self):
         prof = StepProfiler()
         assert prof.totals() == {}
-        assert prof.total_s == 0.0
-
-    def test_merge(self):
-        prof = StepProfiler()
-        prof.merge({"a": 1.0, "b": 2.0})
-        prof.merge({"a": 0.5, "c": 3.0})
-        assert prof.totals() == {"a": 1.5, "b": 2.0, "c": 3.0}
 
     def test_exception_still_charged(self):
         prof = StepProfiler()
         with pytest.raises(RuntimeError):
             with prof.section("boom"):
                 raise RuntimeError("bang")
-        assert prof.counts() == {"boom": 1}
-
-    def test_max_tracks_slowest_entry(self):
-        prof = StepProfiler()
-        with prof.section("a"):
-            pass
-        with prof.section("a"):
-            time.sleep(0.002)
-        maxes = prof.maxes()
-        assert maxes["a"] >= 0.002
-        assert maxes["a"] <= prof.totals()["a"]
-
-    def test_as_dict_derives_mean_and_max(self):
-        prof = StepProfiler()
-        for _ in range(4):
-            with prof.section("a"):
-                time.sleep(0.001)
-        stats = prof.as_dict()["a"]
-        assert stats["count"] == 4
-        assert stats["mean_s"] == pytest.approx(stats["total_s"] / 4)
-        assert stats["max_s"] >= stats["mean_s"]
-
-    def test_as_dict_merged_sections_have_no_counts(self):
-        """Merged totals carry no entry counts, so mean/max stay zero."""
-        prof = StepProfiler()
-        prof.merge({"remote": 1.5})
-        stats = prof.as_dict()["remote"]
-        assert stats["total_s"] == 1.5
-        assert stats["count"] == 0
-        assert stats["mean_s"] == 0.0
-        assert stats["max_s"] == 0.0
+        assert set(prof.totals()) == {"boom"}
 
 
 class TestNullProfiler:
@@ -98,15 +59,20 @@ class TestRendering:
         ]
 
     def test_render_contains_sections_and_shares(self):
-        text = render_sections({"hot": 0.75, "cold": 0.25}, title="t:")
+        text = render_engine_sections(
+            {"power": 0.75, "sensors": 0.25}, title="t:"
+        )
         lines = text.splitlines()
         assert lines[0] == "t:"
-        assert lines[1].lstrip().startswith("hot")
-        assert "75.0%" in lines[1]
+        assert lines[1].lstrip().startswith("sensors")
+        assert "25.0%" in lines[1]
         assert "total" in lines[-1]
 
     def test_render_empty(self):
-        assert "no profiled sections" in render_sections({})
+        """No measured time: every canonical row at zero, no divide by zero."""
+        lines = render_engine_sections({}).splitlines()
+        assert len(lines) == len(ENGINE_SECTIONS) + 1
+        assert all("0.00 ms" in line for line in lines)
 
     def test_engine_render_canonical_order_with_zero_rows(self):
         """Canonical order, every section present even when unmeasured."""

@@ -12,7 +12,8 @@ Two properties matter:
 from dataclasses import fields, replace
 
 from repro.core.taxonomy import spec_by_key
-from repro.obs import ENGINE_SECTIONS, RunEventLog, StepProfiler
+from repro.obs import ENGINE_SECTIONS, RunEventLog, SpanRecorder, StepProfiler
+from repro.obs.tracing import KIND_POINT, KIND_SECTION
 from repro.sim.engine import SimulationConfig, run_workload
 from repro.sim.runner import ParallelRunner, RunPoint
 from repro.sim.workloads import get_workload
@@ -132,27 +133,56 @@ class TestProfiler:
 
 
 class TestRunnerProfileSurfacing:
+    """Runner-level section timing comes through a tracer, as spans."""
+
     def test_profiled_runner_collects_sections(self):
-        runner = ParallelRunner(jobs=1, profile=True)
+        """Each traced pool point carries every engine section beneath it."""
+        tracer = SpanRecorder()
+        runner = ParallelRunner(jobs=1, tracer=tracer)
         points = [
             RunPoint(W7, spec_by_key("distributed-dvfs-none"), CFG),
             RunPoint(W7, spec_by_key("global-stop-go-none"), CFG),
         ]
         results = runner.run_points(points)
         assert len(results) == 2
-        simulated = [r for r in runner.stats.reports if not r.cache_hit]
-        assert all(r.sections for r in simulated)
-        assert set(runner.stats.section_totals) == set(ENGINE_SECTIONS)
-        assert "engine sections" in runner.stats.profile_summary()
+        spans = tracer.spans()
+        for point in points:
+            (span,) = [
+                s for s in spans if s.kind == KIND_POINT and s.name == point.label
+            ]
+            sections = [
+                s for s in spans
+                if s.kind == KIND_SECTION and s.parent_id == span.span_id
+            ]
+            assert {s.name for s in sections} == set(ENGINE_SECTIONS)
+            assert sum(s.elapsed_s for s in sections) <= span.elapsed_s
 
     def test_profiled_results_identical_to_unprofiled(self):
         point = RunPoint(W7, spec_by_key("distributed-dvfs-none"), CFG)
         plain = ParallelRunner(jobs=1).run_points([point])[0]
-        profiled = ParallelRunner(jobs=1, profile=True).run_points([point])[0]
-        assert scalar_fields(plain) == scalar_fields(profiled)
+        traced = ParallelRunner(jobs=1, tracer=SpanRecorder()).run_points(
+            [point]
+        )[0]
+        assert scalar_fields(plain) == scalar_fields(traced)
 
-    def test_profile_off_by_default(self):
+    def test_profile_off_by_default(self, monkeypatch):
+        """Untraced points run without a profiler (the fused path) and
+        leave no spans; traced ones get a step profiler."""
+        import repro.sim.runner as runner_mod
+
+        seen = []
+
+        def spy(workload, spec, config, profiler=None):
+            seen.append(profiler)
+            return run_workload(workload, spec, config, profiler=profiler)
+
+        monkeypatch.setattr(runner_mod, "run_workload", spy)
+        point = RunPoint(W7, None, SimulationConfig(duration_s=0.01))
         runner = ParallelRunner(jobs=1)
-        runner.run_points([RunPoint(W7, None, SimulationConfig(duration_s=0.01))])
-        assert runner.stats.section_totals == {}
-        assert all(r.sections is None for r in runner.stats.reports)
+        runner.run_points([point])
+        assert seen == [None]
+        assert len(runner.tracer) == 0
+        tracer = SpanRecorder()
+        ParallelRunner(jobs=1).run_points([point], tracer=tracer)
+        assert isinstance(seen[1], StepProfiler)
+        assert len(tracer) > 0

@@ -17,6 +17,7 @@ from repro.experiments.common import (
     run_matrix,
     set_default_runner,
 )
+from repro.obs.tracing import KIND_POINT, SpanRecorder
 from repro.sim.engine import SimulationConfig, run_workload
 from repro.sim.runner import (
     ParallelRunner,
@@ -275,17 +276,24 @@ class TestSerialFallback:
 
 class TestObservability:
     def test_per_point_timings_recorded(self, tmp_path):
-        runner = ParallelRunner(cache=ResultCache(tmp_path), version="v")
+        tracer = SpanRecorder()
+        runner = ParallelRunner(
+            cache=ResultCache(tmp_path), version="v", tracer=tracer
+        )
         points = quick_points(2)
         runner.run_points(points)
-        assert len(runner.stats.reports) == 2
-        for report, point in zip(runner.stats.reports, points):
-            assert report.label == point.label
-            assert not report.cache_hit
-            assert report.elapsed_s > 0
+        spans = [s for s in tracer.spans() if s.kind == KIND_POINT]
+        assert len(spans) == 2
+        for span, point in zip(spans, points):
+            assert span.name == point.label
+            assert "cache" not in span.attrs
+            assert span.elapsed_s > 0
         runner.run_points(points)
-        hits = [r for r in runner.stats.reports if r.cache_hit]
-        assert len(hits) == 2
+        hits = [
+            s for s in tracer.spans()
+            if s.kind == KIND_POINT and s.attrs.get("cache") == "hit"
+        ]
+        assert [s.name for s in hits] == [p.label for p in points]
         assert "2 simulated" in runner.stats.summary()
 
     def test_default_runner_is_serial_uncached(self):
@@ -294,21 +302,28 @@ class TestObservability:
         assert runner.cache is None
 
     def test_execution_spans_recorded(self, tmp_path):
-        """Simulated points carry a wall-clock span (start + pid) for the
-        Chrome-trace export; cache hits carry neither."""
+        """Point spans carry a wall-clock start and the executing pid for
+        the Chrome-trace export; warm reruns leave zero-length hit spans."""
         import os
 
-        runner = ParallelRunner(cache=ResultCache(tmp_path), version="v")
+        tracer = SpanRecorder()
+        runner = ParallelRunner(
+            cache=ResultCache(tmp_path), version="v", tracer=tracer
+        )
         points = quick_points(2)
         runner.run_points(points)
-        for report in runner.stats.reports:
-            assert report.pid == os.getpid()
-            assert report.started_at > 0
+        cold = [s for s in tracer.spans() if s.kind == KIND_POINT]
+        assert len(cold) == 2
+        for span in cold:
+            assert span.pid == os.getpid()
+            assert span.started_at > 0
+            assert span.elapsed_s > 0
         runner.run_points(points)
-        for report in runner.stats.reports[2:]:
-            assert report.cache_hit
-            assert report.pid == 0
-            assert report.started_at == 0.0
+        warm = [s for s in tracer.spans() if s.kind == KIND_POINT][2:]
+        assert len(warm) == 2
+        for span in warm:
+            assert span.attrs["cache"] == "hit"
+            assert span.elapsed_s == 0.0
 
     def test_registry_counters_mirror_stats(self, tmp_path):
         from repro.obs.telemetry import MetricsRegistry

@@ -282,6 +282,27 @@ class TestTelemetryAndReport:
         assert payload["traceEvents"]
         assert {e["ph"] for e in payload["traceEvents"]} <= {"X", "M"}
 
+    def test_run_trace_out_sections_nest_inside_run_span(self, tmp_path):
+        import json as json_mod
+
+        from repro.obs import ENGINE_SECTIONS
+
+        trace_file = tmp_path / "engine.trace.json"
+        rc = main(
+            ["--no-cache", "run", "-w", "workload1", "-p", "dvfs-dist-none",
+             "-d", "0.02", "--profile", "--trace-out", str(trace_file)]
+        )
+        assert rc == 0
+        events = json_mod.loads(trace_file.read_text())["traceEvents"]
+        spans = [e for e in events if e["ph"] == "X"]
+        (run,) = [e for e in spans if e["cat"] != "section"]
+        sections = [e for e in spans if e["cat"] == "section"]
+        assert [e["name"] for e in sections] == list(ENGINE_SECTIONS)
+        for s in sections:
+            assert s["args"]["parent_id"] == run["args"]["span_id"]
+            assert s["ts"] >= run["ts"]
+            assert s["ts"] + s["dur"] <= run["ts"] + run["dur"]
+
     def test_compare_trace_out(self, tmp_path):
         import json as json_mod
 
@@ -292,5 +313,19 @@ class TestTelemetryAndReport:
         )
         assert rc == 0
         payload = json_mod.loads(trace_file.read_text())
-        spans = [e for e in payload["traceEvents"] if e["ph"] == "X"]
-        assert len(spans) == 12  # one per simulated policy point
+        points = [e for e in payload["traceEvents"] if e.get("cat") == "point"]
+        assert len(points) == 12  # one per simulated policy point
+
+    def test_compare_trace_out_fleet(self, tmp_path):
+        import json as json_mod
+
+        trace_file = tmp_path / "runner.trace.json"
+        rc = main(
+            ["--no-cache", "--backend", "fleet", "compare", "-w", "workload1",
+             "-d", "0.005", "--trace-out", str(trace_file)]
+        )
+        assert rc == 0
+        events = json_mod.loads(trace_file.read_text())["traceEvents"]
+        cats = [e.get("cat") for e in events]
+        assert cats.count("fleet-group") == 1
+        assert cats.count("point") == 12
