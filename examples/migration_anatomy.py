@@ -3,10 +3,10 @@
 
 Reproduces the paper's Figure 5 view on live data: runs workload7
 (gzip-twolf-ammp-lucas) under distributed DVFS + counter-based migration
-with full series recording, then prints, for the busiest core, the
-residence timeline, both register-file temperatures, and the PI
-controller's frequency output — the inner loop regulating while the outer
-loop rotates threads.
+with a telemetry sampler taking one sample per engine step, then prints,
+for the busiest core, the residence timeline, both register-file
+temperatures, and the PI controller's frequency output — the inner loop
+regulating while the outer loop rotates threads.
 
 Run:
     python examples/migration_anatomy.py [duration_seconds]
@@ -17,27 +17,47 @@ import sys
 import numpy as np
 
 from repro import SimulationConfig, get_workload, run_workload, spec_by_key
+from repro.obs import TelemetrySampler
 
 
 def main() -> None:
     duration = float(sys.argv[1]) if len(sys.argv) > 1 else 0.12
     workload = get_workload("workload7")
-    config = SimulationConfig(duration_s=duration, record_series=True)
+    config = SimulationConfig(duration_s=duration)
     spec = spec_by_key("distributed-dvfs-counter")
+    # One sample per engine step: a per-step series of every core.
+    sampler = TelemetrySampler(config.machine.sample_period_s)
 
     print(f"Running {workload.label} under '{spec.name}' for {duration:.2f} s...\n")
-    result = run_workload(workload, spec, config)
-    series = result.series
+    result = run_workload(workload, spec, config, telemetry=sampler)
+    series = sampler.series
 
     print(
         f"BIPS={result.bips:.2f}  duty={result.duty_cycle:.1%}  "
         f"migrations={result.migrations}  max T={result.max_temp_c:.1f} C\n"
     )
 
-    changes = (np.diff(series.assignments, axis=0) != 0).sum(axis=0)
+    # Sample k holds the temperatures at the start of step k; step k's
+    # frequency scale and resident thread land in sample k + 1.
+    n_cores = len(workload.benchmarks)
+    residents = np.array([
+        series.column(f'core_resident_pid{{core="{c}"}}')[1:]
+        for c in range(n_cores)
+    ])
+    changes = (np.diff(residents, axis=1) != 0).sum(axis=1)
     core = int(np.argmax(changes))
     pid_names = dict(enumerate(workload.benchmarks))
-    view = series.core_series(core)
+    view = {
+        "times": np.array(series.times[:-1]),
+        "pid": residents[core],
+        "scale": np.array(
+            series.column(f'core_freq_scale{{core="{core}"}}')[1:]
+        ),
+    }
+    for unit in ("intreg", "fpreg"):
+        view[unit] = np.array(
+            series.column(f'hotspot_temp_c{{core="{core}",unit="{unit}"}}')[:-1]
+        )
 
     print(f"=== Core {core}: residence timeline ===\n")
     boundaries = [0] + list(np.flatnonzero(np.diff(view["pid"]) != 0) + 1)

@@ -47,7 +47,7 @@ from repro.obs import (
     get_logger,
 )
 from repro.sim.engine import SimulationConfig, ThermalTimingSimulator, run_workload
-from repro.sim.results import RunResult, TimeSeries
+from repro.sim.results import RunResult
 from repro.sim.runner import ParallelRunner, ResultCache, RunPoint, config_hash
 from repro.sim.workloads import ALL_WORKLOADS, Workload, get_workload
 
@@ -69,7 +69,6 @@ __all__ = [
     "SimulationConfig",
     "ThermalTimingSimulator",
     "ThrottleKind",
-    "TimeSeries",
     "Workload",
     "__version__",
     "build_policy",

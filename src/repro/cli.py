@@ -76,6 +76,7 @@ streams oversized campaigns through the engine N points at a time.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import List, Optional
@@ -698,6 +699,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 0:
         parser.error(f"--jobs must be >= 0 (0 = all cores), got {args.jobs}")
+    period = getattr(args, "sample_period", None)
+    if period is not None and not (math.isfinite(period) and period > 0):
+        parser.error(
+            f"--sample-period must be finite and positive, got {period}"
+        )
     configure_logging(args.log_level)
     logger.debug("command=%s argv=%s", args.command, argv)
     if args.command == "list":

@@ -1,10 +1,8 @@
 """Time-series metrics: instruments, registry, and the fusion-aware sampler.
 
 The paper's claims are time-resolved — temperature and frequency
-trajectories, emergency residency, migration cadence — but per-step
-``record_series`` capture forces the engine's general stepwise loop and
-stores one row per 27.78 us step. This module provides the bounded
-alternative:
+trajectories, emergency residency, migration cadence. This module is
+the one way to capture them:
 
 * :class:`Counter` / :class:`Gauge` / :class:`Histogram` — minimal
   labelled instruments in the Prometheus data model;
@@ -13,7 +11,10 @@ alternative:
   and :class:`~repro.sim.runner.ResultCache` register instruments into;
 * :class:`TelemetrySampler` — samples a live simulation every
   ``sample_period_s`` of silicon time (quantized to whole engine steps)
-  into gauges, counters, histograms and a :class:`TelemetrySeries`.
+  into gauges, counters, histograms and a :class:`TelemetrySeries`. A
+  period of one engine step (``machine.sample_period_s``) gives a
+  per-step series: Figure 5 reads its per-unit hotspot and resident
+  columns (:mod:`repro.experiments.figure5`).
 
 The sampler is **fusion-aware**: it is deliberately *not* a
 ``fusion_blockers`` entry. A fusion-eligible run keeps executing as
@@ -32,7 +33,9 @@ Export formats (JSONL/CSV series, Prometheus text, Chrome trace) live in
 
 from __future__ import annotations
 
+import math
 import threading
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -321,14 +324,14 @@ class TelemetrySampler:
         registry: Optional[MetricsRegistry] = None,
     ):
         """Validate the period and prepare an (unbound) sampler."""
-        if not sample_period_s > 0:
+        if not (math.isfinite(sample_period_s) and sample_period_s > 0):
             raise ValueError(
-                f"sample_period_s must be positive: {sample_period_s}"
+                f"sample_period_s must be finite and positive: {sample_period_s}"
             )
         self.sample_period_s = float(sample_period_s)
         self.registry = registry if registry is not None else MetricsRegistry()
         self.series: Optional[TelemetrySeries] = None
-        self._sim = None
+        self._thermal = None
         self._samples = 0
 
     # -- engine-facing lifecycle ------------------------------------------
@@ -342,16 +345,20 @@ class TelemetrySampler:
 
         Called by the engine constructor. Instruments are created based
         on what the run actually carries: per-core temperature /
-        frequency / IPS gauges always; DVFS-transition, stop-go-trip,
-        migration, PROCHOT, fault and guard counters only when the
-        corresponding subsystem is active; per-domain PI-error
-        histograms only under a DVFS policy.
+        frequency / IPS / resident-thread gauges and per-unit hotspot
+        gauges always; DVFS-transition, stop-go-trip, migration,
+        PROCHOT, fault and guard counters only when the corresponding
+        subsystem is active; per-domain PI-error histograms only under a
+        DVFS policy.
         """
-        if self._sim is not None:
+        if self._thermal is not None:
             raise ValueError(
                 "TelemetrySampler is single-shot: already bound to a run"
             )
-        self._sim = sim
+        # Keep the parts that are read, never the simulator itself: it
+        # owns this sampler, and a reference back would make a cycle that
+        # keeps a finished run's state alive until the cyclic collector.
+        self._thermal = sim.thermal
         reg = self.registry
         n_cores = sim.n_cores
         self._n_cores = n_cores
@@ -386,6 +393,27 @@ class TelemetrySampler:
             "chip_hotspot_max_c",
             help="hottest monitored sensor site anywhere on the chip",
         )
+        self._g_unit = [
+            [
+                reg.gauge(
+                    "hotspot_temp_c",
+                    help="one monitored sensor site (true deg C)",
+                    core=c,
+                    unit=unit,
+                )
+                for unit in sim.hotspot_units
+            ]
+            for c in range(n_cores)
+        ]
+        self._g_pid = [
+            reg.gauge(
+                "core_resident_pid",
+                help="pid of the thread resident on the core",
+                core=c,
+            )
+            for c in range(n_cores)
+        ]
+        self._scheduler = sim.scheduler
 
         # Cumulative engine counters, sampled by delta from their source
         # totals so the instruments stay monotone.
@@ -423,7 +451,7 @@ class TelemetrySampler:
                     "prochot_trips_total",
                     help="hardware overtemperature failsafe activations",
                 ),
-                lambda: float(sim.prochot_events),
+                lambda owner=weakref.proxy(sim): float(owner.prochot_events),
             ))
         injector = sim._faults
         if injector is not None:
@@ -487,14 +515,13 @@ class TelemetrySampler:
 
     def begin_run(self) -> None:
         """Record the t=0 sample (warm-started state, full-speed cores)."""
-        sim = self._sim
-        if sim is None:
+        if self._thermal is None:
             raise ValueError("sampler not bound to a simulator")
         self._last_t = 0.0
         self._last_instr = [0.0] * self._n_cores
         self.sample(
             0.0,
-            sim.thermal.temperatures,
+            self._thermal.temperatures,
             [1.0] * self._n_cores,
             None,
         )
@@ -511,7 +538,7 @@ class TelemetrySampler:
                 :class:`~repro.sim.metrics.MetricsAccumulator`, or
                 ``None`` for the initial t=0 sample.
         """
-        hot = temps[self._hotspot_idx].max(axis=1).tolist()
+        sites = temps[self._hotspot_idx].tolist()
         dt_sample = t_s - self._last_t
         instr = (
             metrics.per_core_instructions
@@ -521,9 +548,19 @@ class TelemetrySampler:
         g_temp = self._g_temp
         g_scale = self._g_scale
         g_ips = self._g_ips
+        g_unit = self._g_unit
+        g_pid = self._g_pid
+        resident = self._scheduler.assignment
         last_instr = self._last_instr
+        hot = []
         for c in range(self._n_cores):
-            g_temp[c].value = hot[c]
+            row = sites[c]
+            for gauge, value in zip(g_unit[c], row):
+                gauge.value = value
+            hottest = max(row)
+            hot.append(hottest)
+            g_temp[c].value = hottest
+            g_pid[c].value = resident[c]
             g_scale[c].value = float(eff_scales[c])
             delta = instr[c] - last_instr[c]
             g_ips[c].value = delta / dt_sample if dt_sample > 0 else 0.0

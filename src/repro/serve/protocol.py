@@ -32,8 +32,7 @@ PROTOCOL_VERSION = "repro-serve/1"
 
 #: SimulationConfig fields a request may override: JSON-safe scalars
 #: only (the structured fields — machine, package, fault plans, guards —
-#: stay server-side concerns; ``record_series`` is excluded because its
-#: numpy payload has no JSON form).
+#: stay server-side concerns).
 CONFIG_FIELDS: Tuple[str, ...] = (
     "duration_s",
     "threshold_c",

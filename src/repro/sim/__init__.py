@@ -15,7 +15,7 @@ temperature-dependent leakage feeds back into the power input.
 
 from repro.sim.engine import SimulationConfig, ThermalTimingSimulator, run_workload
 from repro.sim.metrics import MetricsAccumulator
-from repro.sim.results import RunResult, TimeSeries
+from repro.sim.results import RunResult
 from repro.sim.runner import (
     ParallelRunner,
     ResultCache,
@@ -37,7 +37,6 @@ __all__ = [
     "SimulationConfig",
     "SweepPoint",
     "ThermalTimingSimulator",
-    "TimeSeries",
     "Workload",
     "best_point",
     "config_hash",

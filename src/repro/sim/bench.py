@@ -57,10 +57,10 @@ SHORT_RUN_S = 0.02
 #: measurement window used by ``experiments/table1.py``).
 FULL_RUN_S = 0.5
 
-#: Horizon of the telemetry-vs-record_series contrast cases (3600
-#: steps). Longer than :data:`SHORT_RUN_S` on purpose: the fused path's
-#: per-run setup cost amortizes with horizon, so the short window would
-#: understate the sampled path's steady-state advantage.
+#: Horizon of the sampled-telemetry cases (3600 steps). Longer than
+#: :data:`SHORT_RUN_S` on purpose: the fused path's per-run setup cost
+#: amortizes with horizon, so the short window would understate the
+#: sampled path's steady-state rate.
 TELEMETRY_RUN_S = 0.1
 
 #: Horizon of each point in the backend-contrast sweep cases (72 steps).
@@ -103,10 +103,6 @@ class BenchCase:
         sample_period_s: When set, the run carries a
             :class:`~repro.obs.telemetry.TelemetrySampler` at this
             period — the fusion-aware instrumentation path.
-        record_series: When true, the run records full per-step series
-            (``SimulationConfig.record_series``), the pre-telemetry way
-            to get time-series data; it blocks fusion, which is exactly
-            the contrast the sampled cases measure against.
         backend: ``None`` (default) for a plain single-engine case.
             ``"fleet"`` / ``"pool"`` turn the case into a *sweep-batch*
             case: one round runs a :data:`SWEEP_THRESHOLDS`-sized batch
@@ -138,7 +134,6 @@ class BenchCase:
     short: bool
     description: str
     sample_period_s: Optional[float] = None
-    record_series: bool = False
     backend: Optional[str] = None
     scenario: Optional[str] = None
     engine: str = "scalar"
@@ -190,10 +185,9 @@ ENGINE_BENCH_CASES: Tuple[BenchCase, ...] = (
         "the dvfs case as a one-member FleetEngine batch",
         engine="fleet",
     ),
-    # Telemetry-vs-record_series contrast pairs (docs/PERFORMANCE.md §3):
-    # the sampled cases keep whatever fast path the config allows (the
-    # unthrottled one stays fully fused), while record_series blocks
-    # fusion and pays per-step Python-list appends.
+    # Sampled-telemetry cases (docs/PERFORMANCE.md §3): the sampler
+    # keeps whatever fast path the config allows (the unthrottled one
+    # stays fully fused).
     BenchCase(
         "sampled-unthrottled", None, TELEMETRY_RUN_S, False, True,
         "unthrottled with the telemetry sampler at 1 ms: fused chunks "
@@ -201,20 +195,9 @@ ENGINE_BENCH_CASES: Tuple[BenchCase, ...] = (
         sample_period_s=1e-3,
     ),
     BenchCase(
-        "recorded-unthrottled", None, TELEMETRY_RUN_S, False, True,
-        "unthrottled with full per-step series recording (fusion "
-        "blocked): the pre-telemetry time-series path",
-        record_series=True,
-    ),
-    BenchCase(
         "sampled-dvfs", "distributed-dvfs-none", TELEMETRY_RUN_S, False, True,
         "per-core DVFS with the telemetry sampler at 1 ms",
         sample_period_s=1e-3,
-    ),
-    BenchCase(
-        "recorded-dvfs", "distributed-dvfs-none", TELEMETRY_RUN_S, False, True,
-        "per-core DVFS with full per-step series recording",
-        record_series=True,
     ),
     # Backend-contrast sweep pairs: the same fine-grained threshold
     # sweep, end to end, through the batched fleet engine vs the
@@ -375,8 +358,6 @@ def case_config(case: BenchCase) -> SimulationConfig:
     kwargs = {"duration_s": case.duration_s}
     if case.faulted:
         kwargs["fault_plan"] = _bench_fault_plan(case.duration_s)
-    if case.record_series:
-        kwargs["record_series"] = True
     kwargs.update(_case_scenario_kwargs(case))
     return SimulationConfig(**kwargs)
 
@@ -560,7 +541,6 @@ def run_suite(
             "faulted": case.faulted,
             "short": case.short,
             "sample_period_s": case.sample_period_s,
-            "record_series": case.record_series,
             "backend": case.backend,
             "scenario": case.scenario,
             "engine": case.engine,

@@ -49,7 +49,7 @@ from repro.obs.telemetry import TelemetrySampler
 from repro.osmodel.timer import DEFAULT_MIGRATION_PERIOD_S, PeriodicTimer
 from repro.scenarios import Scenario
 from repro.sim.metrics import EMERGENCY_TOLERANCE_C, MetricsAccumulator
-from repro.sim.results import RunResult, TimeSeries
+from repro.sim.results import RunResult
 from repro.sim.workloads import Workload
 from repro.thermal.layouts import (
     HOTSPOT_UNITS,
@@ -103,7 +103,6 @@ class SimulationConfig:
     #: paper's runs operate in).
     warm_start_fraction: Optional[float] = None
     migration_period_s: float = DEFAULT_MIGRATION_PERIOD_S
-    record_series: bool = False
     sensor_noise_std_c: float = 0.0
     sensor_quantization_c: float = 0.0
     #: Static calibration error added to every sensor reading. A negative
@@ -379,6 +378,8 @@ class ThermalTimingSimulator:
         # thermal network; see _ChipLayout.
         self._core_unit_idx = layout.core_unit_idx
         self._hotspot_idx = layout.hotspot_idx
+        #: Monitored units of every core, in ``_hotspot_idx`` column order.
+        self.hotspot_units = HOTSPOT_UNITS
         self._unit_flat = layout.unit_flat
         self._l2_idx_list = layout.l2_idx
         self._xbar_i = layout.xbar_i
@@ -443,8 +444,6 @@ class ThermalTimingSimulator:
             blockers.append("sensor-guards")
         if self.config.hardware_trip:
             blockers.append("hardware-trip")
-        if self.config.record_series:
-            blockers.append("record-series")
         if event_log is not None:
             blockers.append("event-log")
         if profiler is not None:
@@ -586,10 +585,9 @@ class ThermalTimingSimulator:
             self.last_run_fused,
         )
         if self.last_run_fused:
-            series = None
             self._run_fused(n_steps, metrics)
         else:
-            series = self._run_stepwise(n_steps, metrics)
+            self._run_stepwise(n_steps, metrics)
         self.metrics = metrics
         logger.debug(
             "run end: bips=%.3f duty=%.3f migrations=%d",
@@ -597,11 +595,9 @@ class ThermalTimingSimulator:
             metrics.duty_cycle,
             self.scheduler.total_migrations,
         )
-        return self._build_result(metrics, series)
+        return self._build_result(metrics)
 
-    def _run_stepwise(
-        self, n_steps: int, metrics: MetricsAccumulator
-    ) -> Optional["_SeriesRecorder"]:
+    def _run_stepwise(self, n_steps: int, metrics: MetricsAccumulator) -> None:
         """The general per-step loop: every edge is checked every step.
 
         The paper's controllers sample the sensors at every trace step, so
@@ -641,8 +637,6 @@ class ThermalTimingSimulator:
         hotspot_idx = self._hotspot_idx
         migration_due = self._migration_timer.fire_due
 
-        series = _SeriesRecorder(n_steps, n_cores) if cfg.record_series else None
-
         # Telemetry sampling: one state read after every `tel_stride`-th
         # step. The sampler consumes true post-step temperatures (never
         # the sensor path) and feeds nothing back, so it perturbs neither
@@ -655,15 +649,14 @@ class ThermalTimingSimulator:
             tel_stride = 0
             tel_next = -1
 
-        # What the sensor path must produce: policies, guards, faults and
-        # series all consume readings every step; the profiler keeps the
+        # What the sensor path must produce: policies, guards and faults
+        # all consume readings every step; the profiler keeps the
         # sensors section observable even for unthrottled runs. Per-core
         # dicts are materialized only for the dict-API consumers.
         need_sensors = (
             throttle is not None
             or guards is not None
             or faults is not None
-            or series is not None
             or self.profiler is not None
         )
         # Hottest-only fast path: both throttle families consume nothing
@@ -678,12 +671,10 @@ class ThermalTimingSimulator:
             and hasattr(throttle, "scales_from_hottest")
             and guards is None
             and faults is None
-            and series is None
         )
         need_dicts = (
             (throttle is not None and not policy_fast)
             or guards is not None
-            or series is not None
         )
         window_live = throttle is not None and self.migration is not None
         offset = cfg.sensor_offset_c
@@ -974,21 +965,15 @@ class ThermalTimingSimulator:
                 else:
                     window.accumulate(readings, dt)
 
-            if series is not None:
-                eff_scales = [core_work[c] / dt for c in core_range]
-                series.record(step, t, eff_scales, readings, self.scheduler.assignment)
-
-        return series
-
     def _run_fused(self, n_steps: int, metrics: MetricsAccumulator) -> None:
         """Fused whole-run fast path for runs with no per-step observers.
 
         Eligible only when :attr:`fusion_blockers` is empty: no throttle
-        or migration policy, faults, guards, PROCHOT, series capture,
-        event log or profiler — nothing that could observe or perturb an
-        intermediate step. Every core then runs at scale 1.0 with no
-        stalls, so the dynamic-power schedule is a pure function of the
-        trace positions and is assembled in vectorized chunks up front.
+        or migration policy, faults, guards, PROCHOT, event log or
+        profiler — nothing that could observe or perturb an intermediate
+        step. Every core then runs at scale 1.0 with no stalls, so the
+        dynamic-power schedule is a pure function of the trace positions
+        and is assembled in vectorized chunks up front.
         Temperature-dependent leakage still forces a sequential thermal
         recursion, but each step collapses to one leakage evaluation, one
         affine :meth:`~repro.thermal.model.StepOperator.apply` and one
@@ -1242,9 +1227,7 @@ class ThermalTimingSimulator:
 
     # -- result assembly ----------------------------------------------------------
 
-    def _build_result(
-        self, metrics: MetricsAccumulator, series: Optional["_SeriesRecorder"]
-    ) -> RunResult:
+    def _build_result(self, metrics: MetricsAccumulator) -> RunResult:
         dvfs_transitions = sum(a.transitions for a in self.actuators)
         stopgo_trips = (
             self.throttle.trip_count if isinstance(self.throttle, StopGoPolicy) else 0
@@ -1281,7 +1264,6 @@ class ThermalTimingSimulator:
             dvfs_transitions=dvfs_transitions,
             stopgo_trips=stopgo_trips,
             prochot_events=self.prochot_events,
-            series=series.finish(self.scheduler) if series is not None else None,
             events=(
                 self.event_log.summary() if self.event_log is not None else None
             ),
@@ -1407,47 +1389,6 @@ class _TrendWindow:
         if self._steps == 0:
             return 0.0
         return self._min_sum / self._steps
-
-
-class _SeriesRecorder:
-    """Preallocated per-step series storage."""
-
-    def __init__(self, n_steps: int, n_cores: int):
-        """Preallocate ``n_steps`` rows of series storage."""
-        self.times = np.zeros(n_steps)
-        self.scales = np.zeros((n_steps, n_cores))
-        self.temps = {
-            unit: np.zeros((n_steps, n_cores)) for unit in HOTSPOT_UNITS
-        }
-        self.assignments = np.zeros((n_steps, n_cores), dtype=int)
-        self._n = 0
-
-    def record(
-        self,
-        step: int,
-        t: float,
-        scales: Sequence[float],
-        readings: List[Dict[str, float]],
-        assignment: Sequence[int],
-    ) -> None:
-        """Store one step's scales, hotspot readings and assignment."""
-        self.times[step] = t
-        self.scales[step] = scales
-        for unit in self.temps:
-            self.temps[unit][step] = [r[unit] for r in readings]
-        self.assignments[step] = list(assignment)
-        self._n = step + 1
-
-    def finish(self, scheduler: Scheduler) -> TimeSeries:
-        """Trim to the recorded length and build the result series."""
-        n = self._n
-        return TimeSeries(
-            times=self.times[:n],
-            scales=self.scales[:n],
-            hotspot_temps={u: a[:n] for u, a in self.temps.items()},
-            assignments=self.assignments[:n],
-            migration_times=[r.time_s for r in scheduler.migration_history],
-        )
 
 
 class _ChipLayout:

@@ -47,9 +47,9 @@ full 12-policy taxonomy). Four design rules make that possible:
 
 Batching rules
 --------------
-All members must be *fleet-eligible*: no sensor guards, no hardware
-trip, no series recording. :func:`fleet_blockers` reports why a config
-is ineligible; :class:`FleetEngine` refuses such members with
+All members must be *fleet-eligible*: no sensor guards and no
+hardware trip. :func:`fleet_blockers` reports why a config is
+ineligible; :class:`FleetEngine` refuses such members with
 :class:`FleetIncompatibleError` — the
 :class:`~repro.sim.runner.ParallelRunner` routes them through the
 process-pool fallback instead. Heterogeneous machines/packages are fine:
@@ -134,19 +134,17 @@ def fleet_blockers(config: SimulationConfig) -> Tuple[str, ...]:
     """Why a config cannot run in a fleet batch (empty = eligible).
 
     Mirrors the scalar engine's :attr:`fusion_blockers` vocabulary for
-    the features the batched loop does not implement: sensor guards,
-    the PROCHOT hardware trip, and full series recording. Fault plans
-    and sensor noise batch via per-member RNG stream replay (see the
-    module docstring); sensor offset and quantization are deterministic
-    elementwise transforms and batch fine.
+    the features the batched loop does not implement: sensor guards and
+    the PROCHOT hardware trip. Fault plans and sensor noise batch via
+    per-member RNG stream replay (see the module docstring); sensor
+    offset and quantization are deterministic elementwise transforms
+    and batch fine.
     """
     blockers = []
     if config.guard is not None:
         blockers.append("sensor-guards")
     if config.hardware_trip:
         blockers.append("hardware-trip")
-    if config.record_series:
-        blockers.append("record-series")
     return tuple(blockers)
 
 
@@ -377,7 +375,7 @@ class FleetEngine:
             sim = member.sim
             sim.metrics = member.metrics
             sim.last_run_fused = member.fused
-            result = sim._build_result(member.metrics, None)
+            result = sim._build_result(member.metrics)
             if member.workload is not None:
                 result = replace(result, workload=member.workload.name)
             results[member.index] = result

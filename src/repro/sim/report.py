@@ -1,7 +1,7 @@
 """Result persistence and reporting.
 
 :class:`~repro.sim.results.RunResult` objects serialise to/from plain
-JSON (time series excluded — persist those as arrays if needed), and a
+JSON (the scalar metrics; observability attachments stay out), and a
 set of results renders as a comparison report. This is what a downstream
 study would archive next to its configuration.
 """
@@ -20,7 +20,7 @@ _PathLike = Union[str, pathlib.Path]
 #: Serialisation format version.
 FORMAT_VERSION = 1
 
-#: RunResult fields persisted (series is deliberately excluded).
+#: RunResult fields persisted: the scalar metrics, no attachments.
 _FIELDS = (
     "policy",
     "workload",
@@ -40,7 +40,7 @@ _FIELDS = (
 
 
 def result_to_dict(result: RunResult) -> Dict:
-    """A JSON-safe dictionary of one result (series excluded)."""
+    """A JSON-safe dictionary of one result's scalar metrics."""
     out = {"format_version": FORMAT_VERSION}
     for name in _FIELDS:
         value = getattr(result, name)
@@ -59,7 +59,7 @@ def result_from_dict(data: Dict) -> RunResult:
     kwargs = {name: data.get(name, 0) for name in _FIELDS}
     kwargs["benchmarks"] = tuple(kwargs["benchmarks"])
     kwargs["per_core_instructions"] = tuple(kwargs["per_core_instructions"])
-    return RunResult(series=None, **kwargs)
+    return RunResult(**kwargs)
 
 
 def save_results(results: Sequence[RunResult], path: _PathLike) -> pathlib.Path:

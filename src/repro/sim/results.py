@@ -2,38 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.faults.models import FaultSummary
 from repro.obs.events import EventLogSummary
 from repro.obs.telemetry import TelemetrySummary
-
-
-@dataclass
-class TimeSeries:
-    """Optional per-step recording (used by the Figure 5 reproduction).
-
-    Arrays are indexed ``[step]`` (times) or ``[step, core]``; hotspot
-    temperatures are kept per monitored unit so the Figure 5(a) pair
-    (integer vs. FP register logic on one core) can be plotted directly.
-    """
-
-    times: np.ndarray
-    scales: np.ndarray                  # (n, n_cores) effective frequency scale
-    hotspot_temps: Dict[str, np.ndarray]  # unit -> (n, n_cores)
-    assignments: np.ndarray             # (n, n_cores) pid on each core
-    migration_times: List[float] = field(default_factory=list)
-
-    def core_series(self, core: int) -> Dict[str, np.ndarray]:
-        """All recorded series for one core."""
-        out = {"times": self.times, "scale": self.scales[:, core]}
-        for unit, arr in self.hotspot_temps.items():
-            out[unit] = arr[:, core]
-        out["pid"] = self.assignments[:, core]
-        return out
 
 
 @dataclass(frozen=True)
@@ -56,7 +30,11 @@ class RunResult:
     #: Hardware overtemperature trips (0 unless the PROCHOT-style
     #: failsafe is enabled in the configuration).
     prochot_events: int = 0
-    series: Optional[TimeSeries] = None
+    #: Always ``None``. Per-step series come from a
+    #: :class:`~repro.obs.telemetry.TelemetrySampler`; this retired slot
+    #: stays only because the benchmark's committed result digests
+    #: (``bench/expected``) hash every field name of a result.
+    series: None = None
     #: Per-type event counts when the run was executed with a
     #: :class:`~repro.obs.events.RunEventLog` attached; ``None`` (and
     #: absent from every comparison of interest) when observability is

@@ -720,7 +720,7 @@ class ParallelRunner:
             a call into one vectorised
             :class:`~repro.sim.fleet.FleetEngine` stepped in-process,
             falling back to the pool path for ineligible points (sensor
-            guards, hardware trip, series recording). Stochastic points
+            guards, hardware trip). Stochastic points
             — fault plans and sensor noise — are fleet-eligible: the
             engine replays each member's private RNG streams in step
             order. Backends produce bit-identical results and identical
@@ -967,11 +967,11 @@ class ParallelRunner:
     ) -> List[Tuple[RunResult, float, List[Span]]]:
         """Run ``points`` through batched fleet engines.
 
-        Fleet-ineligible points (guards, hardware trip, series
-        recording) fall back to :func:`_execute_point` through
-        :meth:`_execute`; the returned list aligns with ``points`` and
-        has that executor's output shape, so the caller's stats/caching
-        logic is backend-agnostic. Eligible points stream through the
+        Fleet-ineligible points (guards, hardware trip) fall back to
+        :func:`_execute_point` through :meth:`_execute`; the returned
+        list aligns with ``points`` and has that executor's output
+        shape, so the caller's stats/caching logic is backend-agnostic.
+        Eligible points stream through the
         engine in ``fleet_chunk``-sized slices (one unbounded batch when
         unset), sharing the runner's substrate pool, so arbitrarily
         large campaigns run in bounded memory. Each chunk's wall time is

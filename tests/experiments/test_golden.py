@@ -2,9 +2,10 @@
 
 These pin the paper-facing summary numbers of Table 1 and Figure 3 to
 the values committed in ``results/table1.txt`` and ``results/figure3.txt``
-(both produced at the paper's default configuration), so performance
-work — the parallel runner, cache layers, future vectorisation — cannot
-silently drift the reproduction.
+(both produced at the paper's default configuration), and Figure 5 to
+``results/figure5.txt`` byte for byte, so performance work — the
+parallel runner, cache layers, future vectorisation — cannot silently
+drift the reproduction.
 
 The runs are deterministic, so current code reproduces the files
 exactly; the tolerances (±2 C, ±0.05 relative throughput) only leave
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import figure3, table1
+from repro.experiments import figure3, figure5, table1
 from repro.experiments.common import clear_result_cache, set_default_runner
 from repro.sim.runner import ParallelRunner
 from repro.sim.workloads import get_workload
@@ -134,3 +135,10 @@ def test_figure3_matches_golden():
             assert got == pytest.approx(want, abs=RELATIVE_TOL), (
                 f"{name} {series}: {got:.3f} drifted from golden {want:.2f}"
             )
+
+
+def test_figure5_matches_golden_bytes():
+    """One run at the paper's default configuration renders exactly the
+    committed file (``benchmarks/conftest.py`` appends the newline)."""
+    text = figure5.render(figure5.compute()) + "\n"
+    assert text == (RESULTS_DIR / "figure5.txt").read_text()

@@ -6,10 +6,12 @@ comparison lives in benchmarks/ and EXPERIMENTS.md, with the shape pins
 in tests/test_calibration.py.
 """
 
+import numpy as np
 import pytest
 
 from repro.experiments import figure3, figure5, figure7, table5, table6, table7, table8
-from repro.experiments.common import default_config
+from repro.experiments.common import default_config, set_default_runner
+from repro.sim.runner import ParallelRunner, ResultCache
 from repro.sim.workloads import get_workload
 
 CFG = default_config(duration_s=0.04)
@@ -122,22 +124,48 @@ class TestTable8:
         assert "baseline" in table8.render(grid)
 
 
+@pytest.fixture(scope="module")
+def fig5_data():
+    return figure5.compute(default_config(duration_s=0.05))
+
+
 class TestFigure5:
-    def test_window_extraction(self):
-        data = figure5.compute(default_config(duration_s=0.05))
+    def test_window_extraction(self, fig5_data):
+        data = fig5_data
         assert len(data.times_ms) == len(data.intreg_temp_c)
         assert len(data.resident_benchmark) == len(data.times_ms)
         assert 0 <= data.core < 4
         # Residency changes occurred within the window.
         assert len(data.resident_sequence) >= 2
 
-    def test_scales_physical(self):
-        data = figure5.compute(default_config(duration_s=0.05))
-        assert data.frequency_scale.min() >= 0.0
-        assert data.frequency_scale.max() <= 1.0
+    def test_scales_physical(self, fig5_data):
+        assert fig5_data.frequency_scale.min() >= 0.0
+        assert fig5_data.frequency_scale.max() <= 1.0
 
-    def test_render(self):
-        data = figure5.compute(default_config(duration_s=0.05))
-        text = figure5.render(data, n_rows=8)
+    def test_render(self, fig5_data):
+        text = figure5.render(fig5_data, n_rows=8)
         assert "Figure 5" in text
         assert "->" in text
+
+    def test_window_is_cached(self, tmp_path, fig5_data):
+        """A second compute through a disk-cached runner is one cache hit
+        that simulates nothing, and the cache holds the extracted window."""
+        cache = ResultCache(tmp_path / "cache")
+        runner = ParallelRunner(jobs=1, cache=cache, version="vtest")
+        previous = set_default_runner(runner)
+        try:
+            first = figure5.compute(default_config(duration_s=0.05))
+            assert runner.stats.simulated == 1
+            second = figure5.compute(default_config(duration_s=0.05))
+        finally:
+            set_default_runner(previous)
+        assert runner.stats.simulated == 1
+        assert runner.stats.cache_hits == 1
+        for data in (first, second):
+            assert data.core == fig5_data.core
+            assert data.resident_benchmark == fig5_data.resident_benchmark
+            np.testing.assert_array_equal(
+                data.frequency_scale, fig5_data.frequency_scale
+            )
+        (entry,) = (tmp_path / "cache").glob("*/*.pkl")
+        assert isinstance(cache.get(entry.stem), figure5.Figure5Data)

@@ -57,7 +57,7 @@ def spec():
 
 def comparable(result):
     """Every RunResult field except the observability attachments."""
-    return replace(result, series=None, events=None)
+    return replace(result, events=None)
 
 
 class TestNoFaultInvariance:

@@ -141,6 +141,11 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             TelemetrySampler(-1e-3)
 
+    @pytest.mark.parametrize("period", [float("inf"), float("nan")])
+    def test_period_must_be_finite(self, period):
+        with pytest.raises(ValueError, match="finite"):
+            TelemetrySampler(period)
+
     def test_stride_quantizes_to_whole_steps(self):
         sam = TelemetrySampler(1e-3)
         dt = 1.0 / 36000.0  # the engine's 27.78 us step

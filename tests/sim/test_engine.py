@@ -1,6 +1,5 @@
 """Tests for the thermal/timing engine."""
 
-import numpy as np
 import pytest
 
 from repro.core.taxonomy import spec_by_key
@@ -144,29 +143,6 @@ class TestPolicyBehaviour:
         base = run_workload(W7, spec_by_key("distributed-stop-go-none"), cfg)
         mig = run_workload(W7, spec_by_key("distributed-stop-go-counter"), cfg)
         assert mig.bips > base.bips
-
-
-class TestSeriesRecording:
-    def test_series_contents(self):
-        cfg = SimulationConfig(duration_s=0.02, record_series=True)
-        r = run_workload(W7, spec_by_key("distributed-dvfs-none"), cfg)
-        s = r.series
-        assert s is not None
-        n = len(s.times)
-        assert s.scales.shape == (n, 4)
-        assert s.hotspot_temps["intreg"].shape == (n, 4)
-        assert s.assignments.shape == (n, 4)
-        # Effective scales are physical.
-        assert np.all(s.scales >= 0.0) and np.all(s.scales <= 1.0)
-
-    def test_no_series_by_default(self, quick_dvfs_run):
-        assert quick_dvfs_run.series is None
-
-    def test_core_series_view(self):
-        cfg = SimulationConfig(duration_s=0.01, record_series=True)
-        r = run_workload(W7, spec_by_key("distributed-dvfs-none"), cfg)
-        view = r.series.core_series(2)
-        assert set(view) >= {"times", "scale", "intreg", "fpreg", "pid"}
 
 
 class TestWarmStart:

@@ -8,6 +8,7 @@ the duty-cycle arithmetic.
 import pytest
 
 from repro.core.taxonomy import spec_by_key
+from repro.obs.telemetry import TelemetrySampler
 from repro.sim.engine import SimulationConfig, ThermalTimingSimulator, _TrendWindow
 from repro.sim.workloads import get_workload
 from repro.thermal.layouts import HOTSPOT_UNITS
@@ -183,16 +184,26 @@ class TestStopGoPowerModel:
     def test_frozen_core_still_leaks(self):
         """Stop-go preserves state: dynamic power stops, leakage does not,
         so a globally frozen chip stays well above ambient."""
-        cfg = SimulationConfig(duration_s=0.04, record_series=True)
+        cfg = SimulationConfig(duration_s=0.04)
         spec = spec_by_key("global-stop-go-none")
-        sim = ThermalTimingSimulator(W7.benchmarks, spec, cfg)
-        result = sim.run()
-        series = result.series
-        # Find a fully frozen step (all effective scales zero).
-        import numpy as np
-
-        frozen_steps = np.all(series.scales < 1e-9, axis=1)
-        assert frozen_steps.any(), "global stop-go never froze the chip"
-        idx = int(np.flatnonzero(frozen_steps)[-1])
-        temps = [series.hotspot_temps[u][idx].min() for u in ("intreg", "fpreg")]
-        assert min(temps) > cfg.package.ambient_c + 3.0
+        sampler = TelemetrySampler(cfg.machine.sample_period_s)
+        sim = ThermalTimingSimulator(W7.benchmarks, spec, cfg, telemetry=sampler)
+        sim.run()
+        series = sampler.series
+        cores = range(sim.n_cores)
+        # The last sample after a fully frozen step (every scale zero).
+        frozen = [
+            k for k in range(series.n_samples)
+            if all(
+                series.column(f'core_freq_scale{{core="{c}"}}')[k] < 1e-9
+                for c in cores
+            )
+        ]
+        assert frozen, "global stop-go never froze the chip"
+        k = frozen[-1]
+        coolest = min(
+            series.column(f'hotspot_temp_c{{core="{c}",unit="{u}"}}')[k]
+            for c in cores
+            for u in HOTSPOT_UNITS
+        )
+        assert coolest > cfg.package.ambient_c + 3.0

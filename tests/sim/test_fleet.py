@@ -235,9 +235,9 @@ class TestFleetEligibility:
         assert "hardware-trip" in fleet_blockers(
             replace(CFG, hardware_trip=True)
         )
-        assert "record-series" in fleet_blockers(
-            replace(CFG, record_series=True)
-        )
+        assert fleet_blockers(
+            replace(CFG, guard=GuardConfig(), hardware_trip=True)
+        ) == ("sensor-guards", "hardware-trip")
         assert fleet_blockers(CFG) == ()
 
     def test_stochastic_configs_are_eligible(self):

@@ -115,10 +115,6 @@ class TestFusionEligibility:
         cfg = replace(CFG, hardware_trip=True)
         assert "hardware-trip" in _sim(None, cfg).fusion_blockers
 
-    def test_record_series_blocks_fusion(self):
-        cfg = replace(CFG, record_series=True)
-        assert "record-series" in _sim(None, cfg).fusion_blockers
-
     def test_observers_block_fusion(self):
         assert "event-log" in _sim(None, CFG, event_log=RunEventLog()).fusion_blockers
         assert "profiler" in _sim(None, CFG, profiler=StepProfiler()).fusion_blockers

@@ -1,9 +1,8 @@
 """Tests for result containers."""
 
-import numpy as np
 import pytest
 
-from repro.sim.results import RunResult, TimeSeries
+from repro.sim.results import RunResult
 
 
 def make_result(workload="w", bips=10.0, policy="p"):
@@ -45,21 +44,3 @@ class TestRunResult:
         s = make_result(policy="Dist. DVFS").summary()
         assert "Dist. DVFS" in s
         assert "BIPS" in s
-
-
-class TestTimeSeries:
-    def test_core_series(self):
-        n, cores = 6, 4
-        ts = TimeSeries(
-            times=np.arange(n, dtype=float),
-            scales=np.ones((n, cores)),
-            hotspot_temps={
-                "intreg": np.full((n, cores), 80.0),
-                "fpreg": np.full((n, cores), 75.0),
-            },
-            assignments=np.tile(np.arange(cores), (n, 1)),
-        )
-        view = ts.core_series(1)
-        assert view["pid"].tolist() == [1] * n
-        assert view["intreg"].shape == (n,)
-        assert view["scale"].shape == (n,)

@@ -408,13 +408,16 @@ def _pinned_points():
 
 #: ``config_hash(point, version="pinned")`` of :func:`_pinned_points`.
 #: A change to canonicalization or hashing must not move these: every
-#: cached result on disk is addressed by them.
+#: cached result on disk is addressed by them. Only a change to the
+#: hashed schema may: dropping the per-step series flag from
+#: ``SimulationConfig`` moved all five, to the earlier code's digests of
+#: the same canonical forms without that one field entry.
 PINNED_KEYS = {
-    "default": "0a7f9284043f8c516a9bdad7cc91764d5a3acf26c8f812680e43562ce4470734",
-    "fault-plan": "f2196af59076c2656017dfb3d0ae11ba4955f75fc9bb09ea5ba33da474a4ba5b",
-    "guard": "9c0bd0599db1c1a03bb854942cbb0ce030cfee5fd84430d22186f29c00197dfe",
-    "mesh16": "13fa5f658dafdf67585e98ea8a24619cb44e0da9f3f9142ca02684c82ee197e9",
-    "core-sizes": "a5a8193ffcd4ebf1bc824f60ace9908d7131b50d17e784193615cec1731d0494",
+    "default": "9dea3aa52a8733da5ac35255336374c543bb7a122fc4974aac2b059ddaedeebf",
+    "fault-plan": "2c6b00dbfe1873fb2fdb69712577f05565f7552527926aa0de597bfa2588a7aa",
+    "guard": "c9bae5921760c8ae103f0ebd5fa1f3a06ae0d7a959b90989fe861528da84b38e",
+    "mesh16": "b713f23c7672e415d07ffeb58ee11f67620b184b4b1cf2f1712bb6734aa47efd",
+    "core-sizes": "ee82586fd476c654ab8010355f8da640c02fe6528c1f5e973b08d7412a5ddeda",
 }
 
 

@@ -7,6 +7,8 @@ never blocks the fused fast path, produces the identical sampled series
 whether the run fused or stepped, and never enters the result-cache key.
 """
 
+import gc
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -17,6 +19,7 @@ from repro.obs.telemetry import TelemetrySampler
 from repro.sim.engine import SimulationConfig, ThermalTimingSimulator
 from repro.sim.runner import ParallelRunner, ResultCache, RunPoint, config_hash
 from repro.sim.workloads import get_workload
+from repro.thermal.layouts import HOTSPOT_UNITS
 
 W7 = get_workload("workload7")
 CFG = SimulationConfig(duration_s=0.02)
@@ -83,6 +86,10 @@ class TestNonPerturbation:
 
         assert sam_a.series.times == sam_b.series.times
         assert list(sam_a.series.columns) == list(sam_b.series.columns)
+        assert {
+            'hotspot_temp_c{core="0",unit="intreg"}',
+            'core_resident_pid{core="3"}',
+        } <= set(sam_a.series.columns)
         for column in sam_a.series.columns:
             assert sam_a.series.column(column) == sam_b.series.column(column)
         assert sam_a.registry.as_dict() == sam_b.registry.as_dict()
@@ -98,11 +105,76 @@ class TestNonPerturbation:
         assert sam.series.times[0] == 0.0
         assert sam.series.times[1] == pytest.approx(stride * dt)
 
+    @pytest.mark.parametrize("spec_key", ["distributed-dvfs-counter", None])
+    def test_sampled_run_freed_without_cycle_collector(self, spec_key):
+        """Simulator and sampler form no reference cycle, so a finished
+        sampled run (and its series) is freed as soon as it is dropped."""
+        cfg = replace(CFG, duration_s=0.002, hardware_trip=True)
+        sam = TelemetrySampler(PERIOD)
+        sim = _sim(spec_key, cfg, telemetry=sam)
+        sim.run()
+        refs = [weakref.ref(sim), weakref.ref(sam)]
+        gc.disable()
+        try:
+            del sim, sam
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
     def test_sampler_single_use(self):
         sam = TelemetrySampler(PERIOD)
         _sim(None, CFG, telemetry=sam)
         with pytest.raises(ValueError, match="already bound"):
             _sim(None, CFG, telemetry=sam)
+
+
+class TestHotspotAndResidentColumns:
+    """The per-unit hotspot and resident-thread columns of a migrating
+    DVFS run, checked at every sample of a per-step series."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        cfg = SimulationConfig(duration_s=0.03)
+        sampler = TelemetrySampler(cfg.machine.sample_period_s)
+        sim = _sim("distributed-dvfs-counter", cfg, telemetry=sampler)
+        sim.run()
+        return sim, sampler.series
+
+    def test_hottest_unit_is_core_temp(self, run):
+        sim, series = run
+        for c in range(sim.n_cores):
+            units = [
+                series.column(f'hotspot_temp_c{{core="{c}",unit="{u}"}}')
+                for u in HOTSPOT_UNITS
+            ]
+            assert [max(row) for row in zip(*units)] == series.column(
+                f'core_temp_c{{core="{c}"}}'
+            )
+
+    def test_residents_are_a_permutation(self, run):
+        sim, series = run
+        pids = sorted(p.pid for p in sim.scheduler.processes)
+        for row in self._residents(sim, series):
+            assert sorted(row) == pids
+
+    def test_residents_change_once_per_tick_with_moves(self, run):
+        sim, series = run
+        residents = self._residents(sim, series)
+        changed = sum(a != b for a, b in zip(residents, residents[1:]))
+        ticks_with_moves = len(sim.scheduler.migration_history)
+        assert ticks_with_moves > 0
+        assert changed == ticks_with_moves
+        migrations = series.column("migrations_total")
+        grew = sum(b > a for a, b in zip(migrations, migrations[1:]))
+        assert changed <= grew
+
+    @staticmethod
+    def _residents(sim, series):
+        columns = [
+            series.column(f'core_resident_pid{{core="{c}"}}')
+            for c in range(sim.n_cores)
+        ]
+        return list(zip(*columns))
 
 
 class TestCacheIndependence:

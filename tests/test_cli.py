@@ -47,6 +47,15 @@ class TestRun:
         with pytest.raises(KeyError):
             main(["run", "-p", "overclock", "-d", "0.005"])
 
+    @pytest.mark.parametrize("period", ["inf", "nan", "0", "-0.001"])
+    def test_bad_sample_period_is_a_usage_error(self, period, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--no-cache", "run", "-d", "0.005", "--sample-period", period])
+        assert excinfo.value.code == 2
+        assert "--sample-period must be finite and positive" in (
+            capsys.readouterr().err
+        )
+
 
 class TestCompare:
     def test_compare_and_save(self, capsys, tmp_path):

@@ -165,7 +165,6 @@ _HASH_FIELD_STRATEGIES = {
     "sensor_offset_c": st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
     "hardware_trip": st.booleans(),
     "power_scale": st.floats(min_value=0.1, max_value=2.0, allow_nan=False),
-    "record_series": st.booleans(),
 }
 
 
