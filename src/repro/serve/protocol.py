@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.taxonomy import spec_by_key
 from repro.sim.engine import SimulationConfig
 from repro.sim.report import result_to_dict
-from repro.sim.runner import RunPoint
+from repro.sim.runner import BACKENDS, RunPoint
 from repro.sim.workloads import get_workload
 
 #: Wire-format identifier carried by every response envelope.
@@ -194,8 +194,8 @@ class JobRequest:
 
         backend = data.get("backend")
         _require(
-            backend in (None, "pool", "fleet"),
-            f"backend must be 'pool' or 'fleet', got {backend!r}",
+            backend is None or backend in BACKENDS,
+            f"backend must be one of {BACKENDS}, got {backend!r}",
         )
         priority = data.get("priority", 0)
         _require(

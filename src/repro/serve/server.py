@@ -5,7 +5,7 @@ process: an :mod:`asyncio` event loop accepts HTTP/1.1 requests
 (keep-alive supported, stdlib only), a bounded priority
 :class:`~repro.serve.jobs.JobQueue` buffers submitted jobs, and a small
 worker pool executes each job through an ordinary
-:class:`~repro.sim.runner.ParallelRunner` — pool or fleet backend, per
+:class:`~repro.sim.runner.ParallelRunner` — any of its backends, per
 request — against one shared sharded/evicting
 :class:`~repro.sim.runner.ResultCache`. Results are therefore
 bit-identical to local runs of the same points, and a re-submitted job
@@ -89,7 +89,7 @@ from repro.serve.protocol import (
     ProtocolError,
     job_payload,
 )
-from repro.sim.runner import ParallelRunner, ResultCache
+from repro.sim.runner import BACKENDS, ParallelRunner, ResultCache
 
 logger = get_logger(__name__)
 
@@ -130,8 +130,9 @@ class ServeConfig:
     job_timeout_s: float = 300.0
     #: Extra executions after a worker death before the job fails.
     retries: int = 1
-    #: Default execution backend for jobs that do not name one.
-    backend: str = "pool"
+    #: Default execution backend for jobs that do not name one (see
+    #: :class:`~repro.sim.runner.ParallelRunner`).
+    backend: str = "auto"
     #: ``ParallelRunner`` worker processes per job (1 = inline).
     jobs: int = 1
     fleet_chunk: Optional[int] = None
@@ -152,7 +153,7 @@ class ServeConfig:
             )
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0: {self.retries}")
-        if self.backend not in ("pool", "fleet"):
+        if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
 
 
@@ -171,7 +172,7 @@ class ServeExecutor:
         self,
         cache: Optional[ResultCache],
         registry: Optional[MetricsRegistry] = None,
-        backend: str = "pool",
+        backend: str = "auto",
         jobs: int = 1,
         fleet_chunk: Optional[int] = None,
     ):

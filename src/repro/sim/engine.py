@@ -35,7 +35,7 @@ from repro.core.migration import MigrationContext, MigrationPolicy
 from repro.core.policy import DEFAULT_THRESHOLD_C, ThrottlePolicy
 from repro.core.sensor_migration import SensorBasedMigration
 from repro.core.stopgo import StopGoPolicy
-from repro.core.taxonomy import PolicySpec, build_policy
+from repro.core.taxonomy import MigrationKind, PolicySpec, build_policy
 from repro.faults.guards import GuardConfig, SensorGuardBank
 from repro.faults.injector import FaultInjector, sensor_fault_masks
 from repro.faults.models import FaultPlan, FaultSummary
@@ -81,6 +81,41 @@ GRADIENT_TAU_S = 0.010
 #: The paper's machine, one frozen instance shared by every default
 #: config, so sweeps of default configs share it by identity.
 _DEFAULT_MACHINE = MachineConfig()
+
+
+def fusion_blockers(
+    spec: Optional[PolicySpec],
+    config: "SimulationConfig",
+    *,
+    event_log: Optional[RunEventLog] = None,
+    profiler: Optional[StepProfiler] = None,
+) -> Tuple[str, ...]:
+    """Why a run cannot take the whole-run fused path (empty = eligible).
+
+    Any entry means some per-step observer could see or perturb an
+    intermediate state, so the engine must take the general stepwise
+    path. A pure function of the point, so the runner can plan with it
+    before any simulator exists.
+    """
+    blockers = []
+    if spec is not None:
+        blockers.append("throttle-policy")
+        if spec.migration is not MigrationKind.NONE:
+            blockers.append("migration-policy")
+    plan = config.fault_plan
+    if plan is not None and not plan.is_empty:
+        blockers.append("fault-plan")
+    if config.guard is not None:
+        blockers.append("sensor-guards")
+    if config.hardware_trip:
+        blockers.append("hardware-trip")
+    if event_log is not None:
+        blockers.append("event-log")
+    if profiler is not None:
+        blockers.append("profiler")
+    if not config.fuse_steps:
+        blockers.append("disabled")
+    return tuple(blockers)
 
 
 @dataclass(frozen=True)
@@ -416,10 +451,7 @@ class ThermalTimingSimulator:
         self._ssq_arr = np.empty(self.n_cores)
         self._ssq_col = self._ssq_arr[:, None]
         self._leak_mult = np.ones(net.n_blocks)
-        # Per-trace scalar columns pre-extracted to plain Python lists:
-        # list indexing hands back a float directly, several times faster
-        # than numpy 0-d extraction, and the inner loop reads four
-        # scalars per core per step.
+        # Hot-loop views of the traces (see _TraceAux).
         if substrate is not None:
             self._trace_aux = {
                 p.pid: substrate.trace_aux(p.trace)
@@ -430,31 +462,14 @@ class ThermalTimingSimulator:
                 p.pid: _TraceAux(p.trace) for p in self.scheduler.processes
             }
 
-        # Whole-run step fusion (see run()): any entry here means some
-        # per-step observer could see or perturb an intermediate state,
-        # so the engine must take the general stepwise path.
-        blockers = []
-        if self.throttle is not None:
-            blockers.append("throttle-policy")
-        if self.migration is not None:
-            blockers.append("migration-policy")
-        if self._faults is not None:
-            blockers.append("fault-plan")
-        if self._guards is not None:
-            blockers.append("sensor-guards")
-        if self.config.hardware_trip:
-            blockers.append("hardware-trip")
-        if event_log is not None:
-            blockers.append("event-log")
-        if profiler is not None:
-            blockers.append("profiler")
-        if not self.config.fuse_steps:
-            blockers.append("disabled")
-        #: Why the fused fast path cannot be used (empty = eligible).
+        #: Why the fused fast path (see run()) cannot be used (empty =
+        #: eligible).
         #: The telemetry sampler is deliberately absent from this list:
         #: it observes only at sample instants, so sampled runs keep the
         #: fused fast path (see docs/OBSERVABILITY.md).
-        self.fusion_blockers: Tuple[str, ...] = tuple(blockers)
+        self.fusion_blockers: Tuple[str, ...] = fusion_blockers(
+            spec, self.config, event_log=event_log, profiler=profiler
+        )
         #: Whether the most recent :meth:`run` took the fused fast path.
         self.last_run_fused = False
 
@@ -628,6 +643,8 @@ class ThermalTimingSimulator:
         record_step = metrics.record_step
         process_on = self.scheduler.process_on
         trace_aux = self._trace_aux
+        for aux in trace_aux.values():
+            aux.load_columns()
         actuators = self.actuators
         # Core -> process binding changes only when a migration executes,
         # which only happens inside _os_tick — refreshed there below.
@@ -1277,15 +1294,20 @@ class ThermalTimingSimulator:
 class _TraceAux:
     """Hot-loop view of one power trace.
 
-    Scalar columns are pre-extracted to plain Python lists — list
+    The stepwise loop reads scalar columns as plain Python lists — list
     indexing hands back a float directly, several times cheaper than
     numpy 0-d extraction — and ``n_samples`` is pinned as an ``int`` for
     the position modulo in the step loop. Values are unchanged (a Python
     float and the ``float64`` it came from are the same number), so
     arithmetic downstream is bit-identical.
+
+    The lists cost about 1 MB per trace and only the scalar stepwise
+    loop reads them, so they stay ``None`` until that loop calls
+    :meth:`load_columns`; fused and fleet runs never build them.
     """
 
     __slots__ = (
+        "trace",
         "n_samples",
         "unit_power",
         "unit_power_mean",
@@ -1297,7 +1319,8 @@ class _TraceAux:
     )
 
     def __init__(self, trace):
-        """Unpack hot-loop fields of ``trace`` into plain lists/arrays."""
+        """Pin the array fields of ``trace``; the lists come later."""
+        self.trace = trace
         self.n_samples = int(trace.n_samples)
         self.unit_power = trace.unit_power
         # Trace-mean power, precomputed once: the warm-start bisection
@@ -1306,10 +1329,17 @@ class _TraceAux:
         # engine step.
         self.unit_power_mean = trace.unit_power.mean(axis=0)
         self.l2_activity_mean = float(trace.l2_activity.mean())
-        self.l2_activity = trace.l2_activity.tolist()
-        self.instructions = trace.instructions.tolist()
-        self.int_rf = trace.int_rf_accesses.tolist()
-        self.fp_rf = trace.fp_rf_accesses.tolist()
+        self.l2_activity = self.instructions = None
+        self.int_rf = self.fp_rf = None
+
+    def load_columns(self) -> None:
+        """Extract the scalar columns to lists, once per trace."""
+        if self.instructions is None:
+            trace = self.trace
+            self.l2_activity = trace.l2_activity.tolist()
+            self.instructions = trace.instructions.tolist()
+            self.int_rf = trace.int_rf_accesses.tolist()
+            self.fp_rf = trace.fp_rf_accesses.tolist()
 
 
 class _TrendWindow:

@@ -30,6 +30,9 @@ SWEEP_BODY = {
     "policy": "distributed-dvfs-none",
     "config": {"duration_s": 0.002},
     "sweep": {"field": "threshold_c", "values": [80.0, 90.0]},
+    # Engine-section spans come from the scalar engine's profiler; the
+    # default plan would step this lockstep pair in the fleet.
+    "backend": "pool",
 }
 
 

@@ -392,9 +392,10 @@ class TestRunnerChunkingAndDuplicates:
         and mis-attributing spans)."""
         runner = ParallelRunner(jobs=1, cache=None, backend="fleet")
         point = RunPoint(W7, spec_by_key("distributed-dvfs-none"), CFG)
-        out = runner._execute_fleet([point, point], None, NULL_TRACER)
+        out = runner._execute_plan([point, point], None, NULL_TRACER)
         assert len(out) == 2
-        (res_a, elapsed_a, spans_a), (res_b, elapsed_b, spans_b) = out
+        (res_a, elapsed_a, spans_a, reason), (res_b, elapsed_b, spans_b, _) = out
+        assert reason == "lockstep"
         assert res_a is not res_b
         assert scalar_fields(res_a) == scalar_fields(res_b)
         assert elapsed_a > 0 and elapsed_b > 0

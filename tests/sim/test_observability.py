@@ -138,7 +138,7 @@ class TestRunnerProfileSurfacing:
     def test_profiled_runner_collects_sections(self):
         """Each traced pool point carries every engine section beneath it."""
         tracer = SpanRecorder()
-        runner = ParallelRunner(jobs=1, tracer=tracer)
+        runner = ParallelRunner(jobs=1, tracer=tracer, backend="pool")
         points = [
             RunPoint(W7, spec_by_key("distributed-dvfs-none"), CFG),
             RunPoint(W7, spec_by_key("global-stop-go-none"), CFG),
@@ -159,10 +159,10 @@ class TestRunnerProfileSurfacing:
 
     def test_profiled_results_identical_to_unprofiled(self):
         point = RunPoint(W7, spec_by_key("distributed-dvfs-none"), CFG)
-        plain = ParallelRunner(jobs=1).run_points([point])[0]
-        traced = ParallelRunner(jobs=1, tracer=SpanRecorder()).run_points(
-            [point]
-        )[0]
+        plain = ParallelRunner(jobs=1, backend="pool").run_points([point])[0]
+        traced = ParallelRunner(
+            jobs=1, tracer=SpanRecorder(), backend="pool"
+        ).run_points([point])[0]
         assert scalar_fields(plain) == scalar_fields(traced)
 
     def test_profile_off_by_default(self, monkeypatch):
@@ -178,11 +178,13 @@ class TestRunnerProfileSurfacing:
 
         monkeypatch.setattr(runner_mod, "run_workload", spy)
         point = RunPoint(W7, None, SimulationConfig(duration_s=0.01))
-        runner = ParallelRunner(jobs=1)
+        runner = ParallelRunner(jobs=1, backend="pool")
         runner.run_points([point])
         assert seen == [None]
         assert len(runner.tracer) == 0
         tracer = SpanRecorder()
-        ParallelRunner(jobs=1).run_points([point], tracer=tracer)
+        ParallelRunner(jobs=1, backend="pool").run_points(
+            [point], tracer=tracer
+        )
         assert isinstance(seen[1], StepProfiler)
         assert len(tracer) > 0

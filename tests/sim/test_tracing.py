@@ -64,11 +64,13 @@ class TestNonPerturbation:
     def test_traced_pool_run_is_bit_identical(self):
         """Fused, stepwise and faulted paths agree traced vs untraced."""
         points = tracing_points()
-        plain = ParallelRunner(jobs=1, cache=None).run_points(points)
+        plain = ParallelRunner(
+            jobs=1, cache=None, backend="pool"
+        ).run_points(points)
         tracer = SpanRecorder()
-        traced = ParallelRunner(jobs=1, cache=None).run_points(
-            points, tracer=tracer
-        )
+        traced = ParallelRunner(
+            jobs=1, cache=None, backend="pool"
+        ).run_points(points, tracer=tracer)
         assert as_dicts(plain) == as_dicts(traced)
         assert len(tracer) > 0
 
@@ -131,7 +133,9 @@ class TestProcessPoolPropagation:
             RunPoint(W7, DVFS, CFG),
         ]
         tracer = SpanRecorder()
-        runner = ParallelRunner(jobs=2, cache=None, tracer=tracer)
+        runner = ParallelRunner(
+            jobs=2, cache=None, tracer=tracer, backend="pool"
+        )
         root = TraceContext.new()
         results = runner.run_points(points, trace=root)
         assert len(results) == len(points)
