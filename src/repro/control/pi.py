@@ -230,18 +230,23 @@ class PIBank:
     independent state (output, previous error, averaging window) and
     per-lane setpoints; :meth:`step_prefix` advances the first ``m``
     rows of every lane array in one shot using the same
-    :func:`pi_raw_update` law and a clamp written to match the scalar
+    :func:`pi_raw_update` law and a clamp matching the scalar
     ``min(max_, max(min_, raw))`` composition *including its NaN
     behaviour* (a NaN raw command clamps to ``output_min``), so each
     lane's trajectory is bit-identical to a scalar controller fed the
     same measurements — even measurements poisoned by NaN sensor
-    dropouts. The fleet engine uses one bank per chip
-    batch, with lane layout ``(chips, cores)`` for distributed control
+    dropouts. The fleet engine uses one bank per DVFS stage (its rows of
+    one scope and one horizon), with lane layout ``(chips, cores)`` for distributed control
     and ``(chips,)`` for global control.
+
+    The averaging window is deferred: each step stores its outputs in
+    one ``slot`` column of a block buffer, and :meth:`fold_window` adds
+    a block of them to the running sums at once.
 
     :meth:`read_lane` / :meth:`write_lane` move one lane's state between
     the bank and a scalar controller — the bridge the fleet uses to hand
-    control decisions to real policy objects at OS ticks.
+    control decisions to real policy objects at OS ticks. The window
+    must be folded first.
     """
 
     def __init__(
@@ -250,6 +255,8 @@ class PIBank:
         setpoints: np.ndarray,
         output_min=MIN_FREQUENCY_SCALE,
         output_max: float = MAX_FREQUENCY_SCALE,
+        *,
+        block: int,
     ):
         """One lane per element of ``setpoints``, all at ``output_max``.
 
@@ -257,7 +264,8 @@ class PIBank:
         the trailing lane axes (a ``(cores,)`` vector of per-class DVFS
         floors under a heterogeneous scenario broadcasts against
         ``(chips, cores)`` lanes elementwise, exactly matching a scalar
-        controller per lane with its own floor).
+        controller per lane with its own floor). ``block`` is the number
+        of steps the deferred window holds between folds.
         """
         out_min = np.asarray(output_min, dtype=float)
         if not np.all(out_min < output_max):
@@ -272,55 +280,53 @@ class PIBank:
         self.output = np.full(shape, self.output_max)
         self.previous_error = np.zeros(shape)
         self.window_steps = np.zeros(shape, dtype=np.int64)
-        self.output_sum = np.zeros(shape)
+        # Column 0 of the window block is the running output sum; a
+        # deferred step stores its outputs in column 1 + slot.
+        self._window = np.zeros((shape[0], 1 + block) + shape[1:])
+        self.output_sum = self._window[:, 0]
 
     @property
     def n_lanes(self) -> int:
         """Total number of controller lanes in the bank."""
         return int(self.setpoints.size)
 
-    def step_prefix(self, m: int, measured: np.ndarray) -> np.ndarray:
+    def step_prefix(self, m: int, measured: np.ndarray, slot: int) -> np.ndarray:
         """Advance lanes ``[:m]`` one sample period; returns their outputs.
 
         ``measured`` must match the shape of ``self.output[:m]``. The
         returned array is the live output slice — callers must treat it
-        as read-only.
+        as read-only. The outputs wait in window column ``slot`` until
+        :meth:`fold_window`.
         """
         out = self.output[:m]
         prev = self.previous_error[:m]
         error = measured - self.setpoints[:m]
         raw = pi_raw_update(out, error, prev, self.design)
-        # Clamp via explicit selections, not np.minimum/np.maximum: the
-        # scalar controller's ``min(max_, max(min_, raw))`` maps a NaN
-        # raw command to ``output_min`` (Python's max/min keep the first
-        # argument unless the second compares greater/less), whereas
-        # numpy's minimum/maximum propagate NaN. A NaN command happens
-        # under NaN-mode sensor dropouts, and the scalar engine *acts*
-        # on the clamped 0.2 — so the bank must clamp identically. For
-        # finite inputs the two compositions are bitwise equal.
-        floored = np.where(raw > self.output_min, raw, self.output_min)
-        out[...] = np.where(floored < self.output_max, floored, self.output_max)
         prev[...] = error
-        self.window_steps[:m] += 1
-        self.output_sum[:m] += out
+        # The scalar clamp ``min(max_, max(min_, raw))`` keeps ``min_``
+        # unless ``raw`` is greater, so a NaN command (from a NaN-mode
+        # sensor dropout, which the scalar engine then acts on) clamps
+        # to ``output_min``: np.fmax returns its non-NaN operand, where
+        # np.maximum would propagate the NaN. The floored value is never
+        # NaN, so np.fmin is the outer ``min``. Equal operands are equal
+        # nonzero floats, so either choice gives the same bits.
+        np.fmax(raw, self.output_min, out=raw)
+        np.fmin(raw, self.output_max, out=out)
+        self._window[:m, 1 + slot] = out
         return out
 
-    def step(self, measured: np.ndarray) -> np.ndarray:
-        """Advance every lane one sample period; returns all outputs."""
-        return self.step_prefix(self.output.shape[0], measured)
+    def fold_window(self, m: int, k: int) -> None:
+        """Add slots ``0 .. k-1`` of the deferred window to lanes ``[:m]``.
 
-    def average_output(self) -> np.ndarray:
-        """Per-lane mean output over the window (current output pre-step)."""
-        return np.where(
-            self.window_steps == 0,
-            self.output,
-            self.output_sum / np.maximum(self.window_steps, 1),
-        )
-
-    def reset_window_prefix(self, m: int) -> None:
-        """Clear the averaging window of lanes ``[:m]``."""
-        self.window_steps[:m] = 0
-        self.output_sum[:m] = 0.0
+        The scalar controller adds each output to its running sum, step
+        after step; ``np.add.accumulate`` along ``[sum, slot 0, ..,
+        slot k-1]`` is that same strict left fold. Every lane ``[:m]``
+        must have stored all ``k`` slots.
+        """
+        if k:
+            w = self._window[:m, : 1 + k]
+            w[:, 0] = np.add.accumulate(w, axis=1)[:, -1]
+            self.window_steps[:m] += k
 
     def write_lane(self, lane: LaneIndex, controller: DiscretePIController) -> None:
         """Copy one lane's state into a scalar controller."""

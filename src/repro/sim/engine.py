@@ -219,6 +219,11 @@ class SimulationConfig:
         if self.sensor_noise_std_c < 0 or self.sensor_quantization_c < 0:
             raise ValueError("sensor fidelity parameters must be >= 0")
 
+    @property
+    def n_steps(self) -> int:
+        """Sample periods a run of this configuration steps."""
+        return max(1, int(round(self.duration_s / self.machine.sample_period_s)))
+
 
 logger = get_logger(__name__)
 
@@ -585,7 +590,7 @@ class ThermalTimingSimulator:
         operations in the same order, so results are bit-identical.
         """
         cfg = self.config
-        n_steps = max(1, int(round(cfg.duration_s / self.dt)))
+        n_steps = cfg.n_steps
         self._warm_start()
         metrics = MetricsAccumulator(self.n_cores, cfg.threshold_c)
         if self.telemetry is not None:

@@ -5,9 +5,9 @@ chip per process; a policy sweep therefore pays per-point process fan-out
 for runs whose inner loop is a handful of tiny matrix-vector products.
 :class:`FleetEngine` stacks N independent chips that share a floorplan
 into ``(N, ...)`` arrays and advances them together: one vectorised
-sensor read, one vectorised PI/stop-go update, one vectorised power
-assembly and one thermal-propagator application for the whole batch
-per step, all inside a single process.
+sensor read, one vectorised power assembly and one thermal-propagator
+application for the whole batch per step, and one vectorised PI or
+stop-go update per throttle family, all inside a single process.
 
 Bit-identity contract
 ---------------------
@@ -56,8 +56,13 @@ ineligible; :class:`FleetEngine` refuses such members with
 :class:`FleetIncompatibleError` — the
 :class:`~repro.sim.runner.ParallelRunner` routes them to the scalar
 engine instead. Heterogeneous machines/packages are fine: members are
-grouped by :func:`lockstep_key` (substrate and policy family), and each
-group steps in lockstep with members retiring as their horizons end.
+grouped by :func:`lockstep_key`, one rule per machine — its fusable
+members in one group, its stepwise members (every throttle family,
+scope and migration kind, and unthrottled members that cannot fuse) in
+another — and each group steps in lockstep with members retiring as
+their horizons end. A stepwise group runs its shared stages once per
+step over all live rows and only the throttle stage per family, on a
+basic slice of the family's rows (see :class:`_StepwiseGroup`).
 
 Stochastic members (fault plans, sensor noise) batch too, by **stream
 replay**: each member keeps its own per-fault and per-chip RNG streams
@@ -80,8 +85,10 @@ folds matching Python/scalar NaN semantics bit for bit.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import replace
+from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -125,8 +132,11 @@ _L2 = 3
 _C_WORK, _C_STALL, _C_FROZEN = range(3)
 _T_WALL, _T_EMERG, _T_INSTR = range(3)
 # Steps per deferred fold block, and per trace-window refill of the
-# stepwise loop.
+# stepwise loop. A group wider than _BLOCK_ROWS / _BLOCK members folds
+# shorter blocks, so that its block buffers hold at most _BLOCK_ROWS
+# member-steps (but at least 8 steps) whatever its width.
 _BLOCK = 64
+_BLOCK_ROWS = 4096
 _WINDOW = 256
 
 
@@ -183,22 +193,22 @@ def lockstep_key(
 
     ``substrate`` identifies the point's machine description (the
     engine passes its substrate's ``id``, the runner's planner a
-    :func:`substrate_key`). Fusable points form one group per machine;
-    the others group by throttle family, scope and whether they
-    migrate. A DVFS group's controller designs and per-core floors are
+    :func:`substrate_key`). A machine's points form at most two groups:
+    the fusable ones and the stepwise ones, every throttle family
+    together (the stepwise loop runs only its throttle stage per
+    family). A DVFS member's controller design and per-core floors are
     functions of the machine description (its sample period and a
-    scenario's per-class floors), so the substrate part keeps members
-    with different controllers apart.
+    scenario's per-class floors), so one group's DVFS rows share them.
     """
-    if not fusion_blockers(spec, config):
-        return (substrate, "fused")
+    return (substrate, "stepwise" if fusion_blockers(spec, config) else "fused")
+
+
+def _family(spec: Optional[PolicySpec]) -> Tuple[str, str, bool]:
+    """A stepwise member's throttle family: ``(kind, scope, migrates)``."""
     if spec is None:
-        kind, scope = "none", "-"
-    else:
-        kind = "dvfs" if spec.throttle is ThrottleKind.DVFS else "stopgo"
-        scope = spec.scope.value
-    migrates = spec is not None and spec.migration is not MigrationKind.NONE
-    return (substrate, kind, scope, migrates)
+        return ("none", "-", False)
+    kind = "dvfs" if spec.throttle is ThrottleKind.DVFS else "stopgo"
+    return (kind, spec.scope.value, spec.migration is not MigrationKind.NONE)
 
 
 class _Member:
@@ -304,8 +314,7 @@ class FleetEngine:
                 telemetry=sampler,
                 substrate=substrate,
             )
-            n_steps = max(1, int(round(config.duration_s / sim.dt)))
-            self.members.append(_Member(i, workload, sim, n_steps))
+            self.members.append(_Member(i, workload, sim, config.n_steps))
 
     # -- assembly ----------------------------------------------------------
 
@@ -379,8 +388,9 @@ class FleetEngine:
 
         for key, group in groups.items():
             # Descending horizons so retiring members always form a
-            # suffix and the live set stays a contiguous prefix.
-            group.sort(key=lambda m: -m.n_steps)
+            # suffix and the live set stays a contiguous prefix; within
+            # a horizon each throttle family takes one run of rows.
+            group.sort(key=lambda m: (-m.n_steps, _family(m.sim.spec)))
             for member in group:
                 member.width = len(group)
             if key[1] == "fused":
@@ -388,7 +398,7 @@ class FleetEngine:
                 for member in group:
                     member.fused = True
             else:
-                _StepwiseGroup(group, kind=key[1], scope=key[2]).run()
+                _StepwiseGroup(group).run()
 
         results: List[Optional[RunResult]] = [None] * len(self.members)
         for member in self.members:
@@ -454,12 +464,13 @@ class _GroupBase:
         # instructions into row 1 + j of ifold and its chip maximum into
         # row j of mt_blk. Column 0 of cfold and tfold, and row 0 of
         # ifold, hold the running totals; the attributes are views.
+        self.block = B = min(_BLOCK, max(8, _BLOCK_ROWS // n))
         self.blk_k = 0
-        self.cfold = np.zeros((n, 3, 1 + _BLOCK * C))
-        self.tfold = np.zeros((n, 3, 1 + _BLOCK))
+        self.cfold = np.zeros((n, 3, 1 + B * C))
+        self.tfold = np.zeros((n, 3, 1 + B))
         self.tfold[:, _T_WALL, 1:] = self.dt
-        self.ifold = np.zeros((n, 1 + _BLOCK, 1 + C))
-        self.mt_blk = np.empty((_BLOCK, n))
+        self.ifold = np.zeros((n, 1 + B, 1 + C))
+        self.mt_blk = np.empty((B, n))
         self.work_t = self.cfold[:, _C_WORK, 0]
         self.stall_t = self.cfold[:, _C_STALL, 0]
         self.frozen_t = self.cfold[:, _C_FROZEN, 0]
@@ -496,9 +507,10 @@ class _GroupBase:
             ]
         ).reshape(n, C, _P_COLS)
 
-        # Trace window (see _refill): the distinct traces of the group,
-        # each slot's trace, and each slot's offset from its absolute
-        # sample position to its row of the window pool.
+        # Trace windows (see _refill): the distinct traces of the group,
+        # each slot's trace, each slot's offset from its absolute sample
+        # position to its row of the window pool, and the end of its
+        # window there.
         trace_ix: Dict[int, int] = {}
         self.traces = []
         for p in slot_procs:
@@ -512,10 +524,10 @@ class _GroupBase:
             [t.n_samples for t in self.traces], dtype=np.int64
         )
         self.slot_off = np.zeros((n, C), dtype=np.int64)
-        self.win_end = np.full(len(self.traces), np.iinfo(np.int64).max)
+        self.slot_end = np.full((n, C), np.iinfo(np.int64).max)
         self.pool = np.empty((0, self.n_units + 4))
-        #: ``(first, size, base)`` of each trace's current window, so a
-        #: refill copies only the windows that moved.
+        #: ``base -> (trace, first, size)`` of each window in the pool,
+        #: so a refill copies only the windows that moved.
         self.win_spec: Dict[int, Tuple[int, int, int]] = {}
 
         # Telemetry cursors (-1 = no sampler).
@@ -529,54 +541,68 @@ class _GroupBase:
     # -- shared helpers ----------------------------------------------------
 
     def _refill(self, m: int, width: int) -> None:
-        """Window each trace on what the live slots read in ``width`` steps.
+        """Window the traces on what the live slots read in ``width`` steps.
 
-        A trace's window holds the samples at positions ``lo .. hi +
-        width`` (modulo the trace length), where ``lo`` and ``hi`` are
-        the lowest and highest whole positions of the live slots on it,
-        each taken modulo the trace length. A slot reads row
-        ``floor(pos) - slot_off`` with no modulo, its offset folding in
-        the whole traces it has wrapped. That covers the next ``width``
-        steps because a position advances at most one sample per step;
-        the extra row is for the float sum of fractional advances, which
+        The slots on a trace are taken in order of their whole position
+        in it (modulo its length); a run of them whose gaps are at most
+        ``width`` shares one window, holding the samples at positions
+        ``lo .. hi + width`` (modulo the trace length) for the run's
+        lowest and highest positions. A slot reads row ``floor(pos) -
+        slot_off`` with no modulo, its offset folding in the whole
+        traces it has wrapped. That covers the next ``width`` steps
+        because a position advances at most one sample per step; the
+        extra row is for the float sum of fractional advances, which
         can round up onto the next whole sample. The assert checks both
-        held over the previous window. A window is at most ``n_samples +
-        width`` rows however far apart the slots drift, and one that
-        spans the whole trace stays in place across refills.
+        held over the previous window. Slots of different throttle
+        families drift apart on a shared trace, so each keeps a window
+        near its own position; when a trace's windows would hold more
+        than ``n_samples + width`` rows, one window over the whole trace
+        replaces them, and it stays in place across refills.
         """
         pos = self.prog[:m, :, _POS].astype(np.int64)  # floor: pos >= 0
-        tr = self.slot_trace[:m]
-        assert (pos - self.slot_off[:m] <= self.win_end[tr]).all(), (
+        assert (pos - self.slot_off[:m] <= self.slot_end[:m]).all(), (
             "a trace position advanced more than one sample per step"
         )
-        n_tr = len(self.traces)
-        n_samples = self.trace_len[tr]
-        rel = pos % n_samples
-        lo = np.full(n_tr, np.iinfo(np.int64).max)
-        hi = np.full(n_tr, -1)
-        np.minimum.at(lo, tr.ravel(), rel.ravel())
-        np.maximum.at(hi, tr.ravel(), rel.ravel())
-        windows = []
-        for j, (first, last) in enumerate(zip(lo.tolist(), hi.tolist())):
-            if last < 0:
-                self.win_spec.pop(j, None)
-                continue
-            size = last - first + width + 1
+        tr = self.slot_trace[:m].ravel()
+        rel = pos.ravel() % self.trace_len[tr]
+        order = np.lexsort((rel, tr))
+        runs: List[list] = []  # [trace, lo, hi]
+        run_of = []
+        for j, r in zip(tr[order].tolist(), rel[order].tolist()):
+            if runs and runs[-1][0] == j and r - runs[-1][2] <= width:
+                runs[-1][2] = r
+            else:
+                runs.append([j, r, r])
+            run_of.append(len(runs) - 1)
+        windows: List[Tuple[int, int, int]] = []  # (trace, first, size)
+        window_of = []
+        for j, trace_runs in groupby(runs, key=lambda run: run[0]):
+            trace_runs = list(trace_runs)
             n = self.traces[j].n_samples
-            if size >= n:
-                first, size = 0, n + width
-            windows.append((j, first, size))
+            sizes = [last - first + width + 1 for _j, first, last in trace_runs]
+            if sum(sizes) >= n + width:
+                window_of += [len(windows)] * len(trace_runs)
+                windows.append((j, 0, n + width))
+                continue
+            for (_j, first, _last), size in zip(trace_runs, sizes):
+                window_of.append(len(windows))
+                windows.append((j, first, size))
         rows = sum(size for _j, _first, size in windows)
         if self.pool.shape[0] < rows:
+            self.pool = None  # free the old pool before the new one
             self.pool = np.empty((rows, self.n_units + 4))
             self.win_spec = {}
+        # Only this layout's windows stay valid: rows outside them may
+        # be overwritten by a later layout.
+        valid, self.win_spec = self.win_spec, {}
         U = self.n_units
-        first_of = np.zeros(n_tr, dtype=np.int64)
+        shift = np.empty(len(windows), dtype=np.int64)
+        end = np.empty(len(windows), dtype=np.int64)
         base = 0
-        for j, first, size in windows:
-            first_of[j] = first - base
-            spec = (first, size, base)
-            if self.win_spec.get(j) != spec:
+        for w, (j, first, size) in enumerate(windows):
+            shift[w] = first - base
+            spec = (j, first, size)
+            if valid.get(base) != spec:
                 trace = self.traces[j]
                 at = np.arange(first, first + size) % trace.n_samples
                 win = self.pool[base : base + size]
@@ -585,10 +611,14 @@ class _GroupBase:
                 win[:, U + _INT] = trace.int_rf_accesses[at]
                 win[:, U + _FP] = trace.fp_rf_accesses[at]
                 win[:, U + _L2] = trace.l2_activity[at]
-                self.win_spec[j] = spec
+            self.win_spec[base] = spec
             base += size
-            self.win_end[j] = base
-        self.slot_off[:m] = pos - rel + first_of[tr]
+            end[w] = base
+        slot_window = np.empty(len(order), dtype=np.int64)
+        slot_window[order] = np.asarray(window_of)[run_of]
+        slot_window = slot_window.reshape(pos.shape)
+        self.slot_off[:m] = pos - rel.reshape(pos.shape) + shift[slot_window]
+        self.slot_end[:m] = end[slot_window]
 
     def _leakage(self, m):
         """Leakage of the live prefix, in a reused buffer, scalar op order."""
@@ -603,8 +633,12 @@ class _GroupBase:
     def _end_step(self, m: int) -> None:
         """Close a step's block slot; fold the block once it is full."""
         self.blk_k += 1
-        if self.blk_k == _BLOCK:
-            self._flush_metrics(m)
+        if self.blk_k == self.block:
+            self._flush(m)
+
+    def _flush(self, m: int) -> None:
+        """Fold every deferred block of rows ``[:m]``."""
+        self._flush_metrics(m)
 
     def _flush_metrics(self, m: int) -> None:
         """Fold the block's steps into the accumulators of rows ``[:m]``.
@@ -689,15 +723,35 @@ class _GroupBase:
 
 
 class _StepwiseGroup(_GroupBase):
-    """Lockstep batched version of the engine's general stepwise loop."""
+    """Lockstep batched version of the engine's general stepwise loop.
 
-    def __init__(self, members: List[_Member], kind: str, scope: str):
+    One group holds every stepwise member of a machine, whatever its
+    throttle family. Rows lie in ``(-horizon, family)`` order (see
+    :meth:`FleetEngine.run`), so the rows sharing a throttle kind and
+    scope form one run per horizon: a *stage*. Each step runs the shared
+    stages (trace gather, sensors, power, progress, thermal step, block
+    writes) once over the live rows and the throttle stage once per
+    stage, on a basic slice of its rows, into full-width buffers:
+
+    * ``cur`` and ``cube``: a DVFS row's actuator scale and its cube;
+      1.0 on every other row;
+    * ``gate`` and ``frozen``: 0.0 and True on a frozen stop-go core;
+      1.0 and False on every other core;
+    * ``lmbuf``: the leakage multiplier, ``s**2`` on a DVFS row's core
+      units and 1.0 elsewhere.
+
+    The shared code then needs no branch per family: the scalar loop's
+    stop-go ``s`` is 0.0 or 1.0, its frozen active time 0.0, and
+    ``x * 1.0 == x`` for every product the neutral values enter.
+    """
+
+    def __init__(self, members: List[_Member]):
         super().__init__(members)
-        self.kind = kind
-        self.scope = scope
         n = len(members)
         C = self.n_cores
         sims = self.sims
+        self.family = [_family(s.spec) for s in sims]
+        kinds = [kind for kind, _scope, _mig in self.family]
 
         self.su = np.array([s._stall_until for s in sims])
 
@@ -719,8 +773,7 @@ class _StepwiseGroup(_GroupBase):
         # fault cohorts (one FleetFaultInjector per distinct plan).
         # Noise rows mirror the scalar gating exactly: the scalar loop
         # draws only when it reads sensors at all, which for a fleet
-        # group means a throttled group or a faulted member of an
-        # unthrottled ("none") group.
+        # row means a throttled member or a faulted unthrottled one.
         self.fault_rows = [
             i for i, s in enumerate(sims) if s._faults is not None
         ]
@@ -749,116 +802,106 @@ class _StepwiseGroup(_GroupBase):
             (i, s.config.sensor_noise_std_c)
             for i, s in enumerate(sims)
             if s.config.sensor_noise_std_c > 0
-            and (kind != "none" or s._faults is not None)
+            and (kinds[i] != "none" or s._faults is not None)
         ]
 
-        self.has_migration = sims[0].migration is not None
-        if self.kind == "dvfs":
-            pol = sims[0].throttle
-            ctrl0 = pol.controllers[0]
-            if self.scope == "distributed":
-                setpoints = np.array(
-                    [[s.throttle.setpoint_c] * C for s in sims]
-                )
-                # Per-class DVFS floors (scenario chips) give each core's
-                # controller its own output_min; the group key guarantees
-                # every member shares this vector, so a (C,) floor array
-                # broadcasts against the (m, C) lane prefix exactly like
-                # one scalar controller per lane. Homogeneous floors keep
-                # the scalar fast path.
-                floors = [c.output_min for c in pol.controllers]
-                out_min = (
-                    ctrl0.output_min
-                    if all(f == ctrl0.output_min for f in floors)
-                    else np.array(floors)
-                )
-            else:
-                setpoints = np.array([s.throttle.setpoint_c for s in sims])
-                out_min = ctrl0.output_min
-            self.bank = PIBank(
-                ctrl0.design,
-                setpoints,
-                output_min=out_min,
-                output_max=ctrl0.output_max,
+        self.mig_rows = [i for i, f in enumerate(self.family) if f[2]]
+        self.has_migration = bool(self.mig_rows)
+        dvfs_rows = [i for i, kind in enumerate(kinds) if kind == "dvfs"]
+        stopgo_rows = [i for i, kind in enumerate(kinds) if kind == "stopgo"]
+        self.has_dvfs = bool(dvfs_rows)
+        self.has_stopgo = bool(stopgo_rows)
+
+        # DVFS state. Cubes and squares of the scales via Python pow —
+        # the scalar engine computes ``s ** 3`` and ``s ** 2`` on Python
+        # floats, and numpy's array power differs from it in the last
+        # bit for some inputs. They change only at accepted transitions
+        # (a few per step at most), so the scalar pow stays off the hot
+        # path.
+        self.cur = np.ones((n, C))
+        for i in dvfs_rows:
+            self.cur[i] = [a.current_scale for a in sims[i].actuators]
+        self.cube = np.array([[v ** 3 for v in row] for row in self.cur.tolist()])
+        self.lmbuf = np.ones((n, self.n_blocks))
+        for i in dvfs_rows:
+            sq = [v ** 2 for v in self.cur[i].tolist()]
+            self.lmbuf[i, self.cui] = np.array(sq)[:, None]
+        self.trans = np.array(
+            [[a.transitions for a in s.actuators] for s in sims],
+            dtype=np.int64,
+        )
+        self.frej = np.array(
+            [[a.faulted_rejections for a in s.actuators] for s in sims],
+            dtype=np.int64,
+        )
+        self.mta = np.array(
+            [[a.min_transition_abs for a in s.actuators] for s in sims]
+        )
+        self.penalty = 0.0
+        if dvfs_rows:
+            self.penalty = sims[dvfs_rows[0]].actuators[0].transition_penalty_s
+        for i in dvfs_rows:
+            if any(
+                a.transition_penalty_s != self.penalty
+                for a in sims[i].actuators
+            ):  # pragma: no cover - machine equality implies this
+                raise FleetIncompatibleError("heterogeneous actuator penalties")
+
+        # Throttle stages, ascending: (kind, scope, lo, hi, rows whose
+        # plans gate DVFS commits, the same as an index array, PI bank).
+        # Gated rows replay accepted-candidate transitions through the
+        # member's real injector, so reject/latency streams and counters
+        # advance as in the scalar run, where the actuator consults the
+        # gate only for requests passing the min-transition filter.
+        gated = [
+            i for i in self.fault_rows if sims[i]._faults._dvfs_faults
+        ]
+        self.stages: List[tuple] = []
+        #: Row -> (PI bank, lane) of each DVFS row.
+        self.row_lane: Dict[int, Tuple[PIBank, int]] = {}
+        for (kind, scope), run in groupby(
+            range(n), key=lambda i: self.family[i][:2]
+        ):
+            if kind == "none":
+                continue
+            run = list(run)
+            lo, hi = run[0], run[-1] + 1
+            rows = [i for i in gated if lo <= i < hi]
+            bank = self._pi_bank(scope, lo, hi) if kind == "dvfs" else None
+            self.stages.append(
+                (kind, scope, lo, hi, rows, np.asarray(rows, dtype=np.int64), bank)
             )
-            for i, s in enumerate(sims):
-                ctrls = s.throttle.controllers
-                if self.scope == "distributed":
-                    for c in range(C):
-                        self.bank.read_lane((i, c), ctrls[c])
-                else:
-                    self.bank.read_lane(i, ctrls[0])
-            self.cur = np.array(
-                [[a.current_scale for a in s.actuators] for s in sims]
-            )
-            self.trans = np.array(
-                [[a.transitions for a in s.actuators] for s in sims],
-                dtype=np.int64,
-            )
-            self.mta = np.array(
-                [[a.min_transition_abs for a in s.actuators] for s in sims]
-            )
-            self.penalty = sims[0].actuators[0].transition_penalty_s
-            for s in sims:
-                if any(
-                    a.transition_penalty_s != self.penalty
-                    for a in s.actuators
-                ):  # pragma: no cover - machine equality implies this
-                    raise FleetIncompatibleError(
-                        "heterogeneous actuator penalties"
-                    )
-            # Cubes of the current scales via Python pow — the scalar
-            # engine computes ``s ** 3`` on Python floats, and numpy's
-            # array power differs from it in the last bit for some
-            # inputs. Cubes change only at accepted transitions (a few
-            # per step at most), so the scalar pow stays off the hot
-            # path.
-            self.cube = np.array(
-                [[float(v) ** 3 for v in row] for row in self.cur]
-            )
-            # Members whose plans gate DVFS commits: accepted-candidate
-            # transitions replay through the member's real injector (so
-            # reject/latency streams and counters advance exactly as in
-            # the scalar run, where the actuator consults the gate only
-            # for requests passing the min-transition filter).
-            self.dvfs_fault_rows = [
-                i for i in self.fault_rows if sims[i]._faults._dvfs_faults
-            ]
-            self.dvfs_fault_ix = np.asarray(
-                self.dvfs_fault_rows, dtype=np.int64
-            )
-            self.frej = np.array(
-                [[a.faulted_rejections for a in s.actuators] for s in sims],
-                dtype=np.int64,
-            )
-        elif self.kind == "stopgo":
-            self.fu = np.array(
-                [s.throttle._frozen_until for s in sims]
-            )
-            self.trips = np.array(
-                [s.throttle.trip_count for s in sims], dtype=np.int64
-            )
-            self.wsteps = np.array(
-                [s.throttle._window_steps for s in sims], dtype=np.int64
-            )
-            self.wactive = np.array(
-                [s.throttle._window_active for s in sims], dtype=np.int64
-            )
-            self.trip_temp = np.array(
-                [[s.throttle.trip_temperature_c] for s in sims]
-            )
-            self.freeze = np.array([[s.throttle.freeze_s] for s in sims])
+
+        # Stop-go state. The duty windows count steps and active steps;
+        # a block adds its step count and the active steps it stored as
+        # unfrozen cores (see _flush).
+        self.gate = np.ones((n, C))
+        self.frozen = np.zeros((n, C), dtype=bool)
+        self.fu = np.zeros((n, C))
+        self.trips = np.zeros(n, dtype=np.int64)
+        self.wsteps = np.zeros((n, C), dtype=np.int64)
+        self.wactive = np.zeros((n, C), dtype=np.int64)
+        self.trip_temp = np.full((n, 1), np.inf)
+        self.freeze = np.zeros((n, 1))
+        for i in stopgo_rows:
+            pol = sims[i].throttle
+            self.fu[i] = pol._frozen_until
+            self.trips[i] = pol.trip_count
+            self.wsteps[i] = pol._window_steps
+            self.wactive[i] = pol._window_active
+            self.trip_temp[i] = pol.trip_temperature_c
+            self.freeze[i] = pol.freeze_s
 
         if self.has_migration:
             # Trend window, folded a block at a time like the metrics
             # (see _flush_window): a step stores its readings in row
             # 1 + j of whist, whose row 0 holds the running sums; the
             # chip-min and duration time folds keep their totals in
-            # column 0 of wfold.
+            # column 0 of wfold. Rows that do not migrate fold too, and
+            # are never read.
             u = len(HOTSPOT_UNITS)
-            self.wk = 0
-            self.whist = np.zeros((n, 1 + _BLOCK, C, u))
-            self.wfold = np.zeros((n, 2, 1 + _BLOCK))
+            self.whist = np.zeros((n, 1 + self.block, C, u))
+            self.wfold = np.zeros((n, 2, 1 + self.block))
             self.wfold[:, 1, 1:] = self.dt
             self.w_sum = self.whist[:, 0]
             self.w_first = np.full((n, C, u), np.nan)
@@ -870,29 +913,70 @@ class _StepwiseGroup(_GroupBase):
         # Step-scope buffers: every live-prefix element is overwritten
         # each step before it is read.
         self.pbuf = np.empty((n, self.n_blocks))
-        self.lmbuf = np.ones((n, self.n_blocks))
-        self.ones_sc = np.ones((n, C))
         # Per-slot progress increments; the cycles column is the constant
         # nominal cycle count every step.
         self.inc = np.empty((n, C, _P_COLS))
         self.inc[:, :, _CYC] = self.nominal_cycles
 
+    def _pi_bank(self, scope: str, lo: int, hi: int) -> PIBank:
+        """The PI bank of DVFS rows ``[lo:hi]``, one lane per row.
+
+        The live rows of a stage are a prefix of its rows, so the bank
+        steps a prefix of its lanes. A bank's controller design and
+        per-core floors are functions of the machine description, so
+        the first row's controllers stand for every row.
+        """
+        sims = self.sims[lo:hi]
+        ctrls0 = sims[0].throttle.controllers
+        ctrl0 = ctrls0[0]
+        if scope == "distributed":
+            setpoints = np.array(
+                [[s.throttle.setpoint_c] * self.n_cores for s in sims]
+            )
+            # Per-class DVFS floors (scenario chips) give each core's
+            # controller its own output_min; a (C,) floor array
+            # broadcasts against (rows, C) lanes exactly like one scalar
+            # controller per lane. Homogeneous floors keep the scalar
+            # fast path.
+            floors = [c.output_min for c in ctrls0]
+            out_min = (
+                ctrl0.output_min
+                if all(f == ctrl0.output_min for f in floors)
+                else np.array(floors)
+            )
+        else:
+            setpoints = np.array([s.throttle.setpoint_c for s in sims])
+            out_min = ctrl0.output_min
+        bank = PIBank(
+            ctrl0.design,
+            setpoints,
+            output_min=out_min,
+            output_max=ctrl0.output_max,
+            block=self.block,
+        )
+        for lane, s in enumerate(sims):
+            self.row_lane[lo + lane] = (bank, lane)
+            ctrls = s.throttle.controllers
+            if scope == "distributed":
+                for c in range(self.n_cores):
+                    bank.read_lane((lane, c), ctrls[c])
+            else:
+                bank.read_lane(lane, ctrls[0])
+        return bank
+
     # -- OS-tick bridge ----------------------------------------------------
 
     def _member_tick(self, i: int, t: float, sens_row: np.ndarray) -> None:
-        """Run one member's real OS tick against synced batched state."""
+        """Run one member's real OS tick against synced batched state.
+
+        The deferred blocks must be folded first.
+        """
         sim = self.sims[i]
         C = self.n_cores
         su_list = self.su[i].tolist()
         for c in range(C):
             sim._stall_until[c] = su_list[c]
-        w = sim._window
-        w._sum[...] = self.w_sum[i]
-        np.copyto(w._first, self.w_first[i])
-        w._last[...] = self.w_last[i]
-        w._min_sum = float(self.w_min[i])
-        w._steps = int(self.w_steps[i])
-        w.duration_s = float(self.w_dur[i])
+        self._write_window(i)
         self._sync_throttle_in(i)
         self._write_processes(i)
 
@@ -911,6 +995,16 @@ class _StepwiseGroup(_GroupBase):
         self.w_dur[i] = 0.0
         self._sync_throttle_out(i)
 
+    def _write_window(self, i: int) -> None:
+        """Write row ``i``'s trend window into its real simulator."""
+        w = self.sims[i]._window
+        w._sum[...] = self.w_sum[i]
+        np.copyto(w._first, self.w_first[i])
+        w._last[...] = self.w_last[i]
+        w._min_sum = float(self.w_min[i])
+        w._steps = int(self.w_steps[i])
+        w.duration_s = float(self.w_dur[i])
+
     def _permute_slots(self, i: int, assignment: List[int]) -> None:
         """Move member ``i``'s slot state to follow a new assignment."""
         old = self.assign[i].tolist()
@@ -918,11 +1012,11 @@ class _StepwiseGroup(_GroupBase):
             return
         src = [old.index(pid) for pid in assignment]
         self.assign[i] = assignment
-        for arr in (self.prog, self.slot_trace, self.slot_off):
+        for arr in (self.prog, self.slot_trace, self.slot_off, self.slot_end):
             arr[i] = arr[i, src]
 
-    def _flush_window(self, m: int) -> None:
-        """Fold the block's readings into the trend windows of ``[:m]``.
+    def _flush_window(self, m: int, k: int) -> None:
+        """Fold ``k`` steps of readings into the trend windows of ``[:m]``.
 
         Per step the scalar window adds each reading to its sum, latches
         the first non-NaN reading of each channel (a NaN reading is
@@ -932,10 +1026,6 @@ class _StepwiseGroup(_GroupBase):
         durations (``np.add.accumulate``, seeded with the totals) and
         selections for the latch and the last reading.
         """
-        k = self.wk
-        if not k:
-            return
-        self.wk = 0
         h = self.whist[:m, : 1 + k]
         h[:, 0] = np.add.accumulate(h, axis=1)[:, -1]
         steps = h[:, 1:]
@@ -956,39 +1046,45 @@ class _StepwiseGroup(_GroupBase):
         self.w_steps[:m] += k
 
     def _sync_throttle_in(self, i: int) -> None:
+        """Write row ``i``'s throttle state into its real policy objects."""
+        kind, scope, _mig = self.family[i]
         sim = self.sims[i]
-        if self.kind == "dvfs":
+        if kind == "dvfs":
+            bank, lane = self.row_lane[i]
             ctrls = sim.throttle.controllers
-            if self.scope == "distributed":
+            if scope == "distributed":
                 for c in range(self.n_cores):
-                    self.bank.write_lane((i, c), ctrls[c])
+                    bank.write_lane((lane, c), ctrls[c])
             else:
-                self.bank.write_lane(i, ctrls[0])
+                bank.write_lane(lane, ctrls[0])
             for c, a in enumerate(sim.actuators):
                 a.current_scale = float(self.cur[i, c])
                 a.transitions = int(self.trans[i, c])
                 a.faulted_rejections = int(self.frej[i, c])
-        elif self.kind == "stopgo":
+        elif kind == "stopgo":
             pol = sim.throttle
             fu_list = self.fu[i].tolist()
             ws = self.wsteps[i].tolist()
             wa = self.wactive[i].tolist()
             for c in range(self.n_cores):
                 pol._frozen_until[c] = fu_list[c]
-                pol._window_steps[c] = int(ws[c])
-                pol._window_active[c] = int(wa[c])
+                pol._window_steps[c] = ws[c]
+                pol._window_active[c] = wa[c]
             pol.trip_count = int(self.trips[i])
 
     def _sync_throttle_out(self, i: int) -> None:
+        """Read row ``i``'s throttle state back after its OS tick."""
+        kind, scope, _mig = self.family[i]
         sim = self.sims[i]
-        if self.kind == "dvfs":
+        if kind == "dvfs":
+            bank, lane = self.row_lane[i]
             ctrls = sim.throttle.controllers
-            if self.scope == "distributed":
+            if scope == "distributed":
                 for c in range(self.n_cores):
-                    self.bank.read_lane((i, c), ctrls[c])
+                    bank.read_lane((lane, c), ctrls[c])
             else:
-                self.bank.read_lane(i, ctrls[0])
-        elif self.kind == "stopgo":
+                bank.read_lane(lane, ctrls[0])
+        elif kind == "stopgo":
             pol = sim.throttle
             self.fu[i] = pol._frozen_until
             self.wsteps[i] = pol._window_steps
@@ -997,24 +1093,116 @@ class _StepwiseGroup(_GroupBase):
 
     def _sync_sampler_counters(self, i: int) -> None:
         """Refresh the real objects the sampler's counter closures read."""
+        kind, scope, _mig = self.family[i]
         sim = self.sims[i]
         flush = self.fault_flush.get(i)
         if flush is not None:
             finj, j = flush
             finj.flush(j)
-        if self.kind == "dvfs":
+        if kind == "dvfs":
             for c, a in enumerate(sim.actuators):
                 a.transitions = int(self.trans[i, c])
             ctrls = sim.throttle.controllers
-            if self.scope == "distributed":
+            bank, lane = self.row_lane[i]
+            prev = bank.previous_error[lane]
+            if scope == "distributed":
                 for c in range(self.n_cores):
-                    ctrls[c]._previous_error = float(
-                        self.bank.previous_error[i, c]
-                    )
+                    ctrls[c]._previous_error = float(prev[c])
             else:
-                ctrls[0]._previous_error = float(self.bank.previous_error[i])
-        elif self.kind == "stopgo":
+                ctrls[0]._previous_error = float(prev)
+        elif kind == "stopgo":
             sim.throttle.trip_count = int(self.trips[i])
+
+    # -- throttle stages ---------------------------------------------------
+
+    def _dvfs_stage(self, scope, lo, hi, t, hot, j, gated, gated_ix, bank):
+        """PI step, actuator gate and PLL stalls of DVFS rows ``[lo:hi]``."""
+        C = self.n_cores
+        hot = hot[lo:hi]
+        if scope == "distributed":
+            req = bank.step_prefix(hi - lo, hot, j)
+        else:
+            # Chip-hot as the scalar's Python ``max`` left fold (update
+            # only on strictly-greater), so a NaN core reading falls
+            # through instead of poisoning the chip maximum as
+            # hot.max(axis=1) would.
+            chip_hot = hot[:, 0]
+            for c in range(1, C):
+                col = hot[:, c]
+                chip_hot = np.where(col > chip_hot, col, chip_hot)
+            g = bank.step_prefix(hi - lo, chip_hot, j)
+            req = np.broadcast_to(g[:, None], (hi - lo, C))
+        cur = self.cur[lo:hi]
+        accept = np.abs(req - cur) >= self.mta[lo:hi]
+        extras = None
+        nf = bisect_left(gated, hi)
+        if nf:
+            # Every gate candidate of the faulted rows in one scan;
+            # nonzero walks row-major, so the injectors see ascending
+            # (member, core) order.
+            rows = gated_ix[:nf]
+            fr, fc = accept[rows - lo].nonzero()
+            for i, c in zip(rows[fr].tolist(), fc.tolist()):
+                r = i - lo
+                allow, extra = self.sims[i]._faults.dvfs_request(
+                    t, c, float(req[r, c]), float(cur[r, c])
+                )
+                if not allow:
+                    accept[r, c] = False
+                    self.frej[i, c] += 1
+                elif extra > 0.0:
+                    if extras is None:
+                        extras = []
+                    extras.append((r, c, extra))
+        ri, ci = accept.nonzero()
+        if not ri.size:
+            return
+        np.copyto(cur, req, where=accept)
+        self.trans[lo:hi] += accept
+        su = self.su[lo:hi]
+        stall_w = accept
+        if extras is not None:
+            # Stretched PLL re-locks: the scalar adds base penalty and
+            # fault extra in one Python float add before the stall max
+            # — replicate that exact arithmetic per affected element.
+            stall_w = accept.copy()
+            for r, c, extra in extras:
+                stall_w[r, c] = False
+                su[r, c] = max(float(su[r, c]), t) + (self.penalty + extra)
+        if self.penalty > 0:
+            np.copyto(su, np.maximum(su, t) + self.penalty, where=stall_w)
+        scales = cur[ri, ci].tolist()
+        rows = ri + lo
+        self.cube[rows, ci] = [v ** 3 for v in scales]
+        self.lmbuf[rows[:, None], self.cui[ci]] = np.array(
+            [v ** 2 for v in scales]
+        )[:, None]
+
+    def _stopgo_stage(self, scope, lo, hi, t, hot):
+        """Trips and freezes of stop-go rows ``[lo:hi]``.
+
+        Writes the rows' ``frozen`` flags and their ``gate``.
+        """
+        fu = self.fu[lo:hi]
+        frozen = self.frozen[lo:hi]
+        np.less(t, fu, out=frozen)
+        # A core trips when its hottest reading reaches the trip
+        # temperature while it is not frozen (NaN never trips).
+        newly = np.greater(hot[lo:hi] >= self.trip_temp[lo:hi], frozen)
+        if np.count_nonzero(newly):
+            if scope == "distributed":
+                np.copyto(fu, t + self.freeze[lo:hi], where=newly)
+                self.trips[lo:hi] += newly.sum(axis=1)
+            else:
+                chip_trip = newly.any(axis=1)
+                np.copyto(
+                    fu,
+                    np.maximum(fu, t + self.freeze[lo:hi]),
+                    where=chip_trip[:, None],
+                )
+                self.trips[lo:hi] += chip_trip
+            np.less(t, fu, out=frozen)
+        np.logical_not(frozen, out=self.gate[lo:hi])
 
     # -- main loop ---------------------------------------------------------
 
@@ -1027,25 +1215,30 @@ class _StepwiseGroup(_GroupBase):
         n_steps = self.n_steps
         total_steps = n_steps[0]
         alive = len(self.members)
-        # Unthrottled ("none") groups read sensors only to feed fault
-        # state/counters, matching the scalar loop's need_sensors gate
-        # (throttle or faults; guards/series/profiler never batch).
-        need_sensors = self.kind != "none" or bool(self.fault_rows)
-        throttled = self.kind != "none"
-        dvfs = self.kind == "dvfs"
-        stopgo = self.kind == "stopgo"
+        stages = self.stages
+        # The scalar loop reads sensors when it throttles or carries
+        # faults (guards, series and profilers never batch); rows that
+        # do neither read them here too, without side effects.
+        throttled = bool(stages)
+        need_sensors = throttled or bool(self.fault_rows)
         timers = [s._migration_timer for s in self.sims]
-        # Earliest next firing over the group's timers: no alive timer
-        # can fire before it, so the per-member poll runs only from then.
-        next_fire = min(tm.next_fire_s for tm in timers)
+        mig_rows = self.mig_rows
+        # Earliest next firing over the migrating rows' timers: no alive
+        # timer can fire before it, so the per-row poll runs only from
+        # then. Other rows' ticks change nothing a result reads.
+        next_fire = min(
+            (timers[i].next_fire_s for i in mig_rows), default=math.inf
+        )
         any_tel = any(st > 0 for st in self.tel_stride)
-        injectors = [s._faults for s in self.sims]
-        dvfs_fault_rows = self.dvfs_fault_rows if dvfs else []
         prog = self.prog
         migrates = self.has_migration
+        has_stopgo = self.has_stopgo
+        has_dvfs = self.has_dvfs
         cfold = self.cfold
         ifold = self.ifold
         mt_blk = self.mt_blk
+        cur = self.cur
+        cube = self.cube
         if migrates:
             whist = self.whist
 
@@ -1105,116 +1298,45 @@ class _StepwiseGroup(_GroupBase):
                     hot = np.where(s1c > s0c, s1c, s0c)
 
             if migrates and t + FIRE_SLACK_S >= next_fire:
-                self._flush_window(m)
-                for i in range(m):
+                self._flush(m)
+                for i in mig_rows:
+                    if i >= m:
+                        break
                     if timers[i].fire_due(t):
                         self._member_tick(i, t, sens[i])
-                next_fire = min(tm.next_fire_s for tm in timers[:m])
+                next_fire = min(
+                    (timers[i].next_fire_s for i in mig_rows if i < m),
+                    default=math.inf,
+                )
 
-            # Throttle + actuation, batched.
-            if dvfs:
-                if self.scope == "distributed":
-                    req = self.bank.step_prefix(m, hot)
+            # Throttle: one stage per run of rows, on basic slices.
+            j = self.blk_k
+            for kind, scope, lo, hi, gated, gated_ix, bank in stages:
+                if lo >= m:
+                    break
+                if hi > m:
+                    hi = m
+                if kind == "dvfs":
+                    self._dvfs_stage(
+                        scope, lo, hi, t, hot, j, gated, gated_ix, bank
+                    )
                 else:
-                    # Chip-hot as the scalar's Python ``max`` left fold
-                    # (update only on strictly-greater), so a NaN core
-                    # reading falls through instead of poisoning the
-                    # chip maximum as hot.max(axis=1) would.
-                    chip_hot = hot[:, 0]
-                    for c in range(1, C):
-                        col = hot[:, c]
-                        chip_hot = np.where(col > chip_hot, col, chip_hot)
-                    g = self.bank.step_prefix(m, chip_hot)
-                    req = np.broadcast_to(g[:, None], (m, C))
-                cur = self.cur[:m]
-                accept = np.abs(req - cur) >= self.mta[:m]
-                extras = None
-                nf = bisect_left(dvfs_fault_rows, m)
-                if nf:
-                    # Every gate candidate of the faulted members in one
-                    # scan; nonzero walks row-major, so the injectors
-                    # see ascending (member, core) order.
-                    rows = self.dvfs_fault_ix[:nf]
-                    fr, fc = accept[rows].nonzero()
-                    for i, c in zip(rows[fr].tolist(), fc.tolist()):
-                        allow, extra = injectors[i].dvfs_request(
-                            t, c, float(req[i, c]), float(cur[i, c])
-                        )
-                        if not allow:
-                            accept[i, c] = False
-                            self.frej[i, c] += 1
-                        elif extra > 0.0:
-                            if extras is None:
-                                extras = []
-                            extras.append((i, c, extra))
-                ri, ci = accept.nonzero()
-                if ri.size:
-                    np.copyto(cur, req, where=accept)
-                    self.trans[:m] += accept
-                    su = self.su[:m]
-                    stall_w = accept
-                    if extras is not None:
-                        # Stretched PLL re-locks: the scalar adds base
-                        # penalty and fault extra in one Python float
-                        # add before the stall max — replicate that
-                        # exact arithmetic per affected element.
-                        stall_w = accept.copy()
-                        for i, c, extra in extras:
-                            stall_w[i, c] = False
-                            su[i, c] = max(float(su[i, c]), t) + (
-                                self.penalty + extra
-                            )
-                    if self.penalty > 0:
-                        np.copyto(
-                            su,
-                            np.maximum(su, t) + self.penalty,
-                            where=stall_w,
-                        )
-                    self.cube[ri, ci] = [v ** 3 for v in cur[ri, ci].tolist()]
-                s_eff = cur
-                frozen = None
-                dyn_mult = self.cube[:m]
-            elif stopgo:
-                fu = self.fu[:m]
-                frozen_pre = t < fu
-                tripped = hot >= self.trip_temp[:m]
-                newly = ~frozen_pre & tripped
-                if np.count_nonzero(newly):
-                    if self.scope == "distributed":
-                        np.copyto(fu, t + self.freeze[:m], where=newly)
-                        self.trips[:m] += newly.sum(axis=1)
-                    else:
-                        chip_trip = newly.any(axis=1)
-                        np.copyto(
-                            fu,
-                            np.maximum(fu, t + self.freeze[:m]),
-                            where=chip_trip[:, None],
-                        )
-                        self.trips[:m] += chip_trip
-                active_b = t >= fu
-                self.wsteps[:m] += 1
-                self.wactive[:m] += active_b
-                s_eff = active_b.astype(float)
-                frozen = ~active_b
-                dyn_mult = s_eff  # s in {0, 1}: s**3 == s bit-exactly
-            else:
-                s_eff = self.ones_sc[:m]
-                frozen = None
-                dyn_mult = None  # scale 1: dyn factor is just active/dt
+                    self._stopgo_stage(scope, lo, hi, t, hot)
 
             # Work, stall and frozen terms land in this step's columns
             # of the metric block.
-            j = self.blk_k
             cols = slice(1 + j * C, 1 + (j + 1) * C)
             stalled = np.minimum(
                 np.maximum(self.su[:m] - t, 0.0), dt,
                 out=cfold[:m, _C_STALL, cols],
             )
-            if frozen is None:
-                active = dt - stalled
-            else:
-                active = np.where(frozen, 0.0, dt - stalled)
-                np.multiply(frozen, dt, out=cfold[:m, _C_FROZEN, cols])
+            active = dt - stalled
+            if has_stopgo:
+                # A frozen core's (dt - stalled) * 0.0 is the scalar's
+                # active time 0.0 (dt - stalled is never negative).
+                active *= self.gate[:m]
+                np.multiply(self.frozen[:m], dt, out=cfold[:m, _C_FROZEN, cols])
+            s_eff = cur[:m]
             work = np.multiply(s_eff, active, out=cfold[:m, _C_WORK, cols])
             adv = work / dt
             af = active / dt
@@ -1226,7 +1348,7 @@ class _StepwiseGroup(_GroupBase):
             sample = self.pool.take(idx, axis=0)  # (m, C, U + 4)
             u_pw = sample[..., :U]
 
-            dyn = af if dyn_mult is None else dyn_mult * af
+            dyn = cube[:m] * af
             scaled = u_pw * dyn[:, :, None]
             l2_act = sample[..., U + _L2] * s_eff
             l2_act *= af
@@ -1243,10 +1365,8 @@ class _StepwiseGroup(_GroupBase):
                 + _OM_XBAR * np.minimum(1.0, total_l2 / C)
             )
             leak = self._leakage(m)
-            if dvfs:
-                lm = self.lmbuf[:m]
-                lm[:, self.cui] = (s_eff ** 2)[:, :, None]
-                leak *= lm
+            if has_dvfs:
+                leak *= self.lmbuf[:m]
             p += leak
 
             # Progress: instruction and RF-access counters, adjusted
@@ -1272,32 +1392,45 @@ class _StepwiseGroup(_GroupBase):
             nT = op_apply_batch(T[:m], p)
             T[:m] = nT
             np.max(nT[:, :nb], axis=1, out=mt_blk[j, :m])
+            if migrates:
+                whist[:m, 1 + j] = sens
             self._end_step(m)
 
             if any_tel:
                 for i in range(m):
                     if self.tel_next[i] == step:
-                        self._flush_metrics(m)
+                        self._flush(m)
                         self._sample_telemetry(
                             i,
                             step,
                             [float(work[i, c]) / dt for c in range(C)],
                         )
 
-            if migrates:
-                whist[:m, 1 + self.wk] = sens
-                self.wk += 1
-                if self.wk == _BLOCK:
-                    self._flush_window(m)
-
         self._flush(m)
         self._finish()
 
     def _flush(self, m: int) -> None:
-        """Fold every deferred block of rows ``[:m]``."""
-        self._flush_metrics(m)
+        """Fold every deferred block of rows ``[:m]``.
+
+        Besides the metrics, a block holds the PI banks' outputs, the
+        trend-window readings and, as the frozen terms of the metric
+        block, the stop-go duty flags: a duty window adds the block's
+        step count and its count of unfrozen steps, exact integer sums.
+        """
+        k = self.blk_k
+        if not k:
+            return
+        if self.has_stopgo:
+            frozen = self.cfold[:m, _C_FROZEN, 1 : 1 + k * self.n_cores]
+            frozen = frozen.reshape(m, k, self.n_cores)
+            self.wactive[:m] += k - np.count_nonzero(frozen, axis=1)
+            self.wsteps[:m] += k
+        for _kind, _scope, lo, hi, _gated, _ix, bank in self.stages:
+            if bank is not None and lo < m:
+                bank.fold_window(min(hi, m) - lo, k)
         if self.has_migration:
-            self._flush_window(m)
+            self._flush_window(m, k)
+        self._flush_metrics(m)
 
     def _finish(self) -> None:
         self._finish_metrics()
@@ -1309,14 +1442,8 @@ class _StepwiseGroup(_GroupBase):
             for c in range(self.n_cores):
                 sim._stall_until[c] = su_list[c]
             self._sync_throttle_in(i)
-            if self.has_migration:
-                w = sim._window
-                w._sum[...] = self.w_sum[i]
-                np.copyto(w._first, self.w_first[i])
-                w._last[...] = self.w_last[i]
-                w._min_sum = float(self.w_min[i])
-                w._steps = int(self.w_steps[i])
-                w.duration_s = float(self.w_dur[i])
+            if self.family[i][2]:
+                self._write_window(i)
 
 
 class _FusedGroup(_GroupBase):
@@ -1349,7 +1476,7 @@ class _FusedGroup(_GroupBase):
         while start < total_steps:
             if n_steps[alive - 1] <= start:
                 # Retiring members leave the live prefix folded.
-                self._flush_metrics(alive)
+                self._flush(alive)
                 while alive > 0 and n_steps[alive - 1] <= start:
                     alive -= 1
                 if alive == 0:
@@ -1396,7 +1523,7 @@ class _FusedGroup(_GroupBase):
                     g_step = start + j
                     for i in range(m):
                         if self.tel_next[i] == g_step:
-                            self._flush_metrics(m)
+                            self._flush(m)
                             self._sample_telemetry(i, g_step, tel_scales)
 
             # Counter folds: sequential left folds over the chunk,
@@ -1418,6 +1545,6 @@ class _FusedGroup(_GroupBase):
 
             start = end
 
-        self._flush_metrics(m)
+        self._flush(m)
         self._finish_metrics()
         self._finish_processes()

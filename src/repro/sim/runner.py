@@ -647,18 +647,32 @@ PATH_SCALAR = "scalar"
 
 #: Reason of a fleet point, and of a scalar point of the pool backend.
 #: Other scalar points carry the fallback reason the plan gave them:
-#: ``"narrow"`` (a lockstep group or chunk of fewer than
-#: :data:`FLEET_MIN_WIDTH` points) or their first
+#: ``"narrow"`` (a lockstep group or chunk narrower than
+#: :data:`FLEET_MIN_WIDTH`, see :func:`live_width`) or their first
 #: :func:`~repro.sim.fleet.fleet_blockers` entry.
 REASON_LOCKSTEP = "lockstep"
 REASON_POOL_BACKEND = "pool-backend"
 REASON_NARROW = "narrow"
 
-#: Fewest points of one lockstep group the default plan steps in the
-#: fleet. On a 2-vCPU host at a 0.15 s horizon, a group of two ran at
-#: 0.84-1.09x the speed of its points' scalar runs and a group of three
-#: at 1.31-1.65x, in every throttle family (docs/PERFORMANCE.md).
+#: Narrowest lockstep chunk (in :func:`live_width`) the default plan
+#: steps in the fleet. On a 2-vCPU host at a 0.15 s horizon, a group of
+#: two ran at 0.84-1.09x the speed of its points' scalar runs and a group
+#: of three at 1.31-1.65x, in every throttle family; mixed-family pairs
+#: still lose in some mixes (docs/PERFORMANCE.md).
 FLEET_MIN_WIDTH = 3
+
+
+def live_width(points: Sequence["RunPoint"]) -> float:
+    """Mean number of live members per step of a lockstep chunk.
+
+    A chunk steps until its longest horizon ends, and each step costs
+    about the same whatever the number of live rows, so what it gains
+    over the scalar engine grows with its member-steps over its longest
+    horizon, not with its member count: three points of equal horizon
+    have width 3, one long point beside two that retire early has less.
+    """
+    steps = [p.config.n_steps for p in points]
+    return sum(steps) / max(steps)
 
 
 @dataclass
@@ -827,11 +841,12 @@ class ParallelRunner:
         backend: ``"auto"`` (default) plans each batch: points that
             share a lockstep group
             (:func:`~repro.sim.fleet.lockstep_key`)
-            :data:`FLEET_MIN_WIDTH` or more at a time step together in a
-            vectorised :class:`~repro.sim.fleet.FleetEngine`; narrower
-            groups and fleet-ineligible points (sensor guards, hardware
-            trip) run on the scalar engine. A group is split into at
-            most ``jobs`` chunks of that many members or more, and fleet
+            :data:`FLEET_MIN_WIDTH` or more at a time (by
+            :func:`live_width`) step together in a vectorised
+            :class:`~repro.sim.fleet.FleetEngine`; narrower groups and
+            fleet-ineligible points (sensor guards, hardware trip) run
+            on the scalar engine. A group is split into at most ``jobs``
+            chunks of that many members or more, and fleet
             chunks and scalar points share one process pool, a task
             each.
             ``"pool"`` runs every point on the scalar engine, the
@@ -1107,7 +1122,8 @@ class ParallelRunner:
         into the fewest chunks that satisfy ``fleet_chunk`` and, for
         ``"auto"``, into at most ``jobs`` chunks of at least
         :data:`FLEET_MIN_WIDTH` members. Under ``"auto"`` each point of
-        a narrower chunk runs on the scalar engine.
+        a chunk whose :func:`live_width` is below
+        :data:`FLEET_MIN_WIDTH` runs on the scalar engine.
         """
         from repro.sim.fleet import fleet_blockers, lockstep_key, substrate_key
 
@@ -1149,7 +1165,9 @@ class ParallelRunner:
                 hi = lo + size + (c < extra)
                 part = members[lo:hi]
                 lo = hi
-                if auto and len(part) < FLEET_MIN_WIDTH:
+                if auto and live_width(
+                    [points[i] for i in part]
+                ) < FLEET_MIN_WIDTH:
                     scalar.extend(([i], REASON_NARROW) for i in part)
                 else:
                     chunks.append((part, REASON_LOCKSTEP))

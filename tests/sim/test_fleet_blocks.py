@@ -1,12 +1,13 @@
-"""Deferred folds and the bounded trace window stay bit-identical.
+"""Deferred folds, the bounded trace window and mixed groups stay bit-identical.
 
-The fleet folds its metric and trend-window accumulators a block of
-steps at a time and reads trace samples from a window refilled every
-few hundred steps. Each case below moves a block or window boundary onto
-an edge (a retirement, an OS tick, a telemetry sample, a wrap of the
-trace) and checks every member against its scalar run. The block and
-window lengths are shrunk so that the short horizons here cross many
-boundaries.
+The fleet folds its metric, trend-window, PI-window and stop-go duty
+accumulators a block of steps at a time, reads trace samples from
+windows refilled every few hundred steps, and steps every throttle
+family of a machine in one group. Each case below moves a block or
+window boundary onto an edge (a retirement, an OS tick, a telemetry
+sample, a wrap of the trace) or mixes families, and checks every member
+against its scalar run. The block and window lengths are shrunk so that
+the short horizons here cross many boundaries.
 """
 
 from dataclasses import replace
@@ -14,8 +15,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.taxonomy import spec_by_key
-from repro.faults.models import DropoutFault, FaultPlan
+from repro.core.taxonomy import ALL_POLICY_SPECS, ThrottleKind, spec_by_key
+from repro.faults.models import (
+    DropoutFault,
+    DVFSLatencyFault,
+    DVFSRejectFault,
+    FaultPlan,
+    SpikeFault,
+)
 from repro.obs.telemetry import TelemetrySampler
 from repro.sim import fleet as fleet_module
 from repro.sim.engine import SimulationConfig
@@ -133,6 +140,97 @@ class TestDeferredFolds:
         run_and_check([(W7, s, cfg) for s in (DVFS, SENSOR, None, None)])
 
 
+def assert_throttle_windows_match(sim, ref):
+    """The feedback or duty windows a migrating run ends with."""
+    if sim.spec.throttle is ThrottleKind.DVFS:
+        for c, r in zip(sim.throttle.controllers, ref.throttle.controllers):
+            assert (c.output, c._previous_error, c._steps, c._output_sum) == (
+                r.output, r._previous_error, r._steps, r._output_sum
+            )
+    else:
+        pol, rp = sim.throttle, ref.throttle
+        assert pol._window_steps == rp._window_steps
+        assert pol._window_active == rp._window_active
+        assert pol._frozen_until == rp._frozen_until
+
+
+class TestMixedGroup:
+    """Every throttle family of a machine steps in one group."""
+
+    D = 0.004  # 144 steps
+
+    def members(self):
+        """The 12 taxonomy policies on three horizons, plus stochastic
+        members: a faulted unthrottled one, a noisy one, a global-DVFS
+        one with NaN dropouts, a DVFS one whose commits are gated, and
+        an unthrottled one that fuses."""
+        d = self.D
+        horizons = (144, 101, 67)  # two retire mid-block
+        members = [
+            (W7, spec, SimulationConfig(
+                duration_s=horizons[k % 3] * DT, migration_period_s=1e-3,
+            ))
+            for k, spec in enumerate(ALL_POLICY_SPECS)
+        ]
+        nan_drops = FaultPlan(faults=(
+            DropoutFault(core=1, start_s=0.0, end_s=d, prob=0.5, mode="nan"),
+            DropoutFault(start_s=0.25 * d, end_s=0.5 * d, mode="nan"),
+        ))
+        gated = FaultPlan(faults=(
+            DVFSRejectFault(core=0, prob=0.5),
+            DVFSLatencyFault(core=2),
+        ))
+        spikes = FaultPlan(faults=(SpikeFault(prob=0.2, magnitude_c=5.0),))
+        members += [
+            (W7, None, SimulationConfig(duration_s=101 * DT, fault_plan=spikes)),
+            (W7, SENSOR, SimulationConfig(
+                duration_s=d, sensor_noise_std_c=0.5, seed=5,
+                migration_period_s=1e-3,
+            )),
+            (W7, spec_by_key("global-dvfs-none"), SimulationConfig(
+                duration_s=67 * DT, fault_plan=nan_drops, seed=2,
+            )),
+            (W7, DVFS, SimulationConfig(
+                duration_s=d, fault_plan=gated, seed=9, threshold_c=80.0,
+            )),
+            (W7, None, SimulationConfig(duration_s=d)),
+        ]
+        return members
+
+    def test_one_group_matches_scalar(self, short_blocks):
+        members = self.members()
+        engine = run_and_check(members)
+        stepwise = [m for m in engine.members if not m.fused]
+        assert len(stepwise) == len(members) - 1
+        assert {m.width for m in stepwise} == {len(stepwise)}
+        for member, (workload, spec, cfg) in zip(engine.members, members):
+            if member.sim.migration is not None:
+                ref, _ = scalar_run(workload, spec, cfg)
+                assert_throttle_windows_match(member.sim, ref)
+        assert sum(m.sim.scheduler.total_migrations for m in engine.members)
+
+    def test_telemetry_on_migrating_and_stop_go_members(self, short_blocks):
+        members = self.members()
+        taps = {
+            ALL_POLICY_SPECS.index(SENSOR): 2 * DT,
+            ALL_POLICY_SPECS.index(spec_by_key("distributed-stop-go-none")): DT,
+        }
+        samplers = [
+            TelemetrySampler(taps[i]) if i in taps else None
+            for i in range(len(members))
+        ]
+        results = FleetEngine(members, telemetry=samplers).run()
+        for i, period in taps.items():
+            workload, spec, cfg = members[i]
+            ref_sampler = TelemetrySampler(period)
+            _, ref = scalar_run(workload, spec, cfg, telemetry=ref_sampler)
+            assert scalar_fields(results[i]) == scalar_fields(
+                replace(ref, workload=results[i].workload)
+            )
+            assert samplers[i].series.times == ref_sampler.series.times
+            assert samplers[i].series.columns == ref_sampler.series.columns
+
+
 class TestTraceWindow:
     def test_positions_wrap_past_the_trace_end(self, short_blocks):
         # A 40-sample trace under a 150-step horizon wraps several times.
@@ -183,7 +281,10 @@ class TestTraceWindow:
 
         def recording_refill(group, m, width):
             refill(group, m, width)
-            for j, (_first, size, _base) in group.win_spec.items():
+            rows = {}
+            for j, _first, size in group.win_spec.values():
+                rows[j] = rows.get(j, 0) + size
+            for j, size in rows.items():
                 sizes.append((size, group.traces[j].n_samples, width))
             assert group.pool.shape[0] <= sum(
                 t.n_samples + width for t in group.traces
@@ -212,15 +313,12 @@ class TestTraceWindow:
             ]
             assert max(positions) - min(positions) > n_samples
 
-    @pytest.mark.parametrize("spread", [False, True])
-    def test_refill_covers_every_read_of_the_next_window(self, spread):
-        """Slots on shared traces, whole traces apart and one a rounding
-        error short of a whole sample: after a refill, each slot's rows
-        hold the samples of its next ``W`` steps and of the one past
-        them, which a float position can round up onto. Positions close
-        modulo the trace get a window shorter than it; spread ones a
-        window over all of it."""
-        n = 600
+    @staticmethod
+    def refill_and_check(n, offsets, windows):
+        """Refill three members on ``n``-sample traces, at ``offsets``
+        into them (whole traces apart, the last a rounding error short
+        of a whole sample), and check each slot's rows and each trace's
+        count of windows."""
         cfg = SimulationConfig(duration_s=0.001, trace_duration_s=n * DT)
         group = fleet_module._GroupBase(
             FleetEngine([(W7, DVFS, cfg)] * 3).members
@@ -228,17 +326,22 @@ class TestTraceWindow:
         W = fleet_module._WINDOW
         U = group.n_units
         pos = group.prog[:, :, fleet_module._POS]
-        pos[0] = 5.0
-        pos[1] = 7 * n + (n - 2.0 if spread else 20.5)
-        pos[2] = np.nextafter(n + 40.0, 0.0)
+        pos[0] = offsets[0]
+        pos[1] = 7 * n + offsets[1]
+        pos[2] = np.nextafter(n + offsets[2], 0.0)
         group._refill(3, W)
 
+        by_end = {}
+        per_trace = {}
+        for base, (j, _first, size) in group.win_spec.items():
+            by_end[base + size] = (base, j, size)
+            per_trace.setdefault(j, []).append(size)
         steps = np.arange(W + 1)
         for (i, c), p in np.ndenumerate(pos):
             j = group.slot_trace[i, c]
             trace = group.traces[j]
-            _first, size, base = group.win_spec[j]
-            assert (size > n) == spread and size <= n + W
+            base, window_trace, size = by_end[group.slot_end[i, c]]
+            assert window_trace == j
             whole = int(p) + steps
             rows = whole - group.slot_off[i, c]
             assert base <= rows.min() and rows.max() < base + size
@@ -249,6 +352,29 @@ class TestTraceWindow:
             np.testing.assert_array_equal(
                 group.pool[rows, U + fleet_module._L2], trace.l2_activity[at]
             )
+        for sizes in per_trace.values():
+            assert len(sizes) == windows
+        return per_trace, W
+
+    @pytest.mark.parametrize("spread", [False, True])
+    def test_refill_covers_every_read_of_the_next_window(self, spread):
+        """After a refill, each slot's rows hold the samples of its next
+        ``W`` steps and of the one past them, which a float position can
+        round up onto. Slots close modulo the trace share a window
+        shorter than it; runs of them far apart get a window each."""
+        n = 600
+        offsets = (5.0, n - 2.0 if spread else 20.5, 40.0)
+        per_trace, _W = self.refill_and_check(n, offsets, 1 + spread)
+        for sizes in per_trace.values():
+            assert all(size < n for size in sizes)
+
+    def test_runs_outgrowing_the_trace_share_one_window(self):
+        """Runs whose windows would hold more rows than the trace plus
+        ``W`` share one window over all of it."""
+        n = 300
+        per_trace, W = self.refill_and_check(n, (0.0, 42.5, 300.0), 1)
+        for sizes in per_trace.values():
+            assert sizes == [n + W]
 
     def test_fleet_members_never_build_trace_lists(self):
         """The scalar loop's per-trace Python lists stay unbuilt in a

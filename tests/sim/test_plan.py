@@ -1,9 +1,11 @@
 """The runner's default plan: lockstep groups in the fleet, the rest scalar.
 
 ``ParallelRunner()`` plans every batch: eligible points that share a
-lockstep group three or more at a time step in a fleet chunk, and
-narrower groups and blocked points run on the scalar engine. Whatever
-the plan, results and cache keys equal the scalar reference's.
+lockstep group (one per machine for stepwise points, whatever their
+throttle family, and one for fusable points) three or more at a time
+step in a fleet chunk, and narrower groups and blocked points run on the
+scalar engine. Whatever the plan, results and cache keys equal the
+scalar reference's.
 """
 
 import dataclasses
@@ -11,12 +13,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.taxonomy import spec_by_key
+from repro.core.taxonomy import ALL_POLICY_SPECS, spec_by_key
 from repro.faults.guards import GuardConfig
 from repro.obs.telemetry import MetricsRegistry
 from repro.obs.tracing import KIND_POINT, SpanRecorder
 from repro.sim.engine import SimulationConfig
-from repro.sim.runner import ParallelRunner, ResultCache, RunPoint
+from repro.sim.runner import ParallelRunner, ResultCache, RunPoint, live_width
 from repro.sim.workloads import get_workload
 
 W7 = get_workload("workload7")
@@ -26,7 +28,7 @@ STOPGO = spec_by_key("global-stop-go-none")
 
 
 def mixed_points():
-    """Three DVFS points (a group), one stop-go point, one guarded point."""
+    """Three DVFS points and a stop-go one (a group), one guarded point."""
     return [
         RunPoint(W7, DVFS, CFG),
         RunPoint(W7, STOPGO, CFG),
@@ -53,9 +55,38 @@ class TestPlan:
     def test_groups_of_three_go_to_the_fleet_the_rest_scalar(self):
         runner = ParallelRunner()
         assert runner._plan(mixed_points()) == [
-            ([0, 2, 4], "lockstep"),
+            ([0, 1, 2, 4], "lockstep"),
             ([3], "sensor-guards"),
+        ]
+
+    def test_throttle_families_share_one_lockstep_chunk(self):
+        """``compare``'s batch: the 12 taxonomy policies on one workload
+        are one chunk, every family together."""
+        points = [RunPoint(W7, spec, CFG) for spec in ALL_POLICY_SPECS]
+        assert ParallelRunner()._plan(points) == [
+            (list(range(12)), "lockstep")
+        ]
+
+    def test_unthrottled_points_group_apart_from_stepwise_ones(self):
+        """Fusable points form their own group: one beside three
+        stepwise points is a narrow group of one."""
+        points = [RunPoint(W7, None, CFG)] + mixed_points()[:3]
+        assert ParallelRunner()._plan(points) == [
+            ([1, 2, 3], "lockstep"),
+            ([0], "narrow"),
+        ]
+
+    def test_width_counts_member_steps_over_the_longest_horizon(self):
+        """Three points whose two short ones retire early are narrow;
+        equal horizons are as wide as their count."""
+        long = RunPoint(W7, DVFS, replace(CFG, duration_s=0.011))
+        short = dvfs_points(2)
+        assert live_width(dvfs_points(3)) == 3.0
+        assert live_width([long] + short) < 3.0
+        assert ParallelRunner()._plan([long] + short) == [
+            ([0], "narrow"),
             ([1], "narrow"),
+            ([2], "narrow"),
         ]
 
     def test_a_pair_runs_on_the_scalar_engine(self):
@@ -71,11 +102,11 @@ class TestPlan:
         auto = runner.run_points(points)
         assert as_dicts(auto) == as_dicts(pool)
         stats = runner.stats
-        assert (stats.fleet, stats.scalar) == (3, 2)
-        assert stats.fallbacks == {"narrow": 1, "sensor-guards": 1}
+        assert (stats.fleet, stats.scalar) == (4, 1)
+        assert stats.fallbacks == {"sensor-guards": 1}
         assert stats.summary().startswith(
-            "5 points: 5 simulated (3 fleet, 2 scalar: 1 narrow, "
-            "1 sensor-guards), 0 cached"
+            "5 points: 5 simulated (4 fleet, 1 scalar: 1 sensor-guards), "
+            "0 cached"
         )
 
     def test_fleet_backend_steps_singletons_in_the_fleet(self):
@@ -144,11 +175,11 @@ class TestParallelPlan:
         by_path = {}
         for span in points:
             by_path.setdefault(span.attrs["path"], []).append(span)
-        assert len(by_path["fleet"]) == 3
-        assert all(s.attrs["group_width"] == 3 for s in by_path["fleet"])
-        assert len(by_path["scalar"]) == 2
+        assert len(by_path["fleet"]) == 4
+        assert all(s.attrs["group_width"] == 4 for s in by_path["fleet"])
+        assert len(by_path["scalar"]) == 1
         assert {s.attrs["reason"] for s in by_path["scalar"]} == {
-            "narrow", "sensor-guards",
+            "sensor-guards",
         }
         assert all(s.attrs["group_width"] == 1 for s in by_path["scalar"])
 
@@ -157,6 +188,7 @@ class TestPathCounter:
     def test_registry_counts_points_by_path_and_reason(self):
         registry = MetricsRegistry()
         ParallelRunner(registry=registry).run_points(mixed_points())
+        ParallelRunner(registry=registry).run_points(dvfs_points(2))
         ParallelRunner(registry=registry, backend="pool").run_points(
             dvfs_points(1)
         )
@@ -166,7 +198,7 @@ class TestPathCounter:
                 "runner_points_total", path=path, reason=reason
             ).value
 
-        assert count("fleet", "lockstep") == 3
-        assert count("scalar", "narrow") == 1
+        assert count("fleet", "lockstep") == 4
+        assert count("scalar", "narrow") == 2
         assert count("scalar", "sensor-guards") == 1
         assert count("scalar", "pool-backend") == 1
