@@ -226,18 +226,19 @@ LaneIndex = Union[int, Tuple[int, ...]]
 class PIBank:
     """A vectorized bank of independent PI controllers.
 
-    Lanes share one :class:`PIDesign` and clip range but carry
-    independent state (output, previous error, averaging window) and
-    per-lane setpoints; :meth:`step_prefix` advances the first ``m``
+    Lanes share one :class:`PIDesign` and upper clip but carry
+    independent state (output, previous error, averaging window),
+    setpoints and floors; :meth:`step_prefix` advances the first ``m``
     rows of every lane array in one shot using the same
     :func:`pi_raw_update` law and a clamp matching the scalar
     ``min(max_, max(min_, raw))`` composition *including its NaN
     behaviour* (a NaN raw command clamps to ``output_min``), so each
     lane's trajectory is bit-identical to a scalar controller fed the
     same measurements — even measurements poisoned by NaN sensor
-    dropouts. The fleet engine uses one bank per DVFS stage (its rows of
-    one scope and one horizon), with lane layout ``(chips, cores)`` for distributed control
-    and ``(chips,)`` for global control.
+    dropouts. The fleet engine uses one bank per DVFS stage (its DVFS
+    rows of one horizon), with lane layout ``(chips, cores)`` for both
+    scopes: a global chip's ``cores`` lanes all receive its chip-hot
+    reading, so they step as one controller.
 
     The averaging window is deferred: each step stores its outputs in
     one ``slot`` column of a block buffer, and :meth:`fold_window` adds
@@ -260,23 +261,24 @@ class PIBank:
     ):
         """One lane per element of ``setpoints``, all at ``output_max``.
 
-        ``output_min`` may be a scalar or an array broadcastable against
-        the trailing lane axes (a ``(cores,)`` vector of per-class DVFS
-        floors under a heterogeneous scenario broadcasts against
-        ``(chips, cores)`` lanes elementwise, exactly matching a scalar
-        controller per lane with its own floor). ``block`` is the number
-        of steps the deferred window holds between folds.
+        ``output_min`` is a scalar or any array broadcastable to the
+        lane shape; the bank keeps one floor per lane (per-class DVFS
+        floors under a heterogeneous scenario differ per core, and a
+        global chip's lanes share its controller's floor), exactly
+        matching a scalar controller per lane with its own floor.
+        ``block`` is the number of steps the deferred window holds
+        between folds.
         """
-        out_min = np.asarray(output_min, dtype=float)
-        if not np.all(out_min < output_max):
+        self.design = design
+        self.setpoints = np.asarray(setpoints, dtype=float)
+        shape = self.setpoints.shape
+        self.output_min = np.empty(shape)
+        self.output_min[...] = output_min
+        self.output_max = float(output_max)
+        if not np.all(self.output_min < self.output_max):
             raise ValueError(
                 f"output_min ({output_min}) must be < output_max ({output_max})"
             )
-        self.design = design
-        self.setpoints = np.asarray(setpoints, dtype=float)
-        self.output_min = float(out_min) if out_min.ndim == 0 else out_min
-        self.output_max = float(output_max)
-        shape = self.setpoints.shape
         self.output = np.full(shape, self.output_max)
         self.previous_error = np.zeros(shape)
         self.window_steps = np.zeros(shape, dtype=np.int64)
@@ -293,9 +295,9 @@ class PIBank:
     def step_prefix(self, m: int, measured: np.ndarray, slot: int) -> np.ndarray:
         """Advance lanes ``[:m]`` one sample period; returns their outputs.
 
-        ``measured`` must match the shape of ``self.output[:m]``. The
-        returned array is the live output slice — callers must treat it
-        as read-only. The outputs wait in window column ``slot`` until
+        ``measured`` must broadcast to the shape of ``self.output[:m]``.
+        The returned array is the live output slice — callers must treat
+        it as read-only. The outputs wait in window column ``slot`` until
         :meth:`fold_window`.
         """
         out = self.output[:m]
@@ -310,7 +312,7 @@ class PIBank:
         # np.maximum would propagate the NaN. The floored value is never
         # NaN, so np.fmin is the outer ``min``. Equal operands are equal
         # nonzero floats, so either choice gives the same bits.
-        np.fmax(raw, self.output_min, out=raw)
+        np.fmax(raw, self.output_min[:m], out=raw)
         np.fmin(raw, self.output_max, out=out)
         self._window[:m, 1 + slot] = out
         return out

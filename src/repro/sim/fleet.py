@@ -7,7 +7,7 @@ for runs whose inner loop is a handful of tiny matrix-vector products.
 into ``(N, ...)`` arrays and advances them together: one vectorised
 sensor read, one vectorised power assembly and one thermal-propagator
 application for the whole batch per step, and one vectorised PI or
-stop-go update per throttle family, all inside a single process.
+stop-go update per throttle kind, all inside a single process.
 
 Bit-identity contract
 ---------------------
@@ -61,8 +61,9 @@ members in one group, its stepwise members (every throttle family,
 scope and migration kind, and unthrottled members that cannot fuse) in
 another — and each group steps in lockstep with members retiring as
 their horizons end. A stepwise group runs its shared stages once per
-step over all live rows and only the throttle stage per family, on a
-basic slice of the family's rows (see :class:`_StepwiseGroup`).
+step over all live rows and only the throttle stage per throttle kind,
+on a basic slice of that kind's rows, both scopes together (see
+:class:`_StepwiseGroup`).
 
 Stochastic members (fault plans, sensor noise) batch too, by **stream
 replay**: each member keeps its own per-fault and per-chip RNG streams
@@ -196,7 +197,8 @@ def lockstep_key(
     :func:`substrate_key`). A machine's points form at most two groups:
     the fusable ones and the stepwise ones, every throttle family
     together (the stepwise loop runs only its throttle stage per
-    family). A DVFS member's controller design and per-core floors are
+    throttle kind, whatever the scope). A DVFS member's controller
+    design and per-core floors are
     functions of the machine description (its sample period and a
     scenario's per-class floors), so one group's DVFS rows share them.
     """
@@ -727,11 +729,13 @@ class _StepwiseGroup(_GroupBase):
 
     One group holds every stepwise member of a machine, whatever its
     throttle family. Rows lie in ``(-horizon, family)`` order (see
-    :meth:`FleetEngine.run`), so the rows sharing a throttle kind and
-    scope form one run per horizon: a *stage*. Each step runs the shared
-    stages (trace gather, sensors, power, progress, thermal step, block
-    writes) once over the live rows and the throttle stage once per
-    stage, on a basic slice of its rows, into full-width buffers:
+    :meth:`FleetEngine.run`), so the rows sharing a throttle kind form
+    one run per horizon, distributed rows before global ones: a *stage*
+    (runs of one kind on adjacent horizons form one stage). Each step
+    runs the shared stages (trace gather, sensors, power, progress,
+    thermal step, block writes) once over the live rows and the
+    throttle stage once per stage, on a basic slice of its rows, into
+    full-width buffers:
 
     * ``cur`` and ``cube``: a DVFS row's actuator scale and its cube;
       1.0 on every other row;
@@ -743,6 +747,12 @@ class _StepwiseGroup(_GroupBase):
     The shared code then needs no branch per family: the scalar loop's
     stop-go ``s`` is 0.0 or 1.0, its frozen active time 0.0, and
     ``x * 1.0 == x`` for every product the neutral values enter.
+
+    Scopes need no stage of their own either. A DVFS stage steps one
+    :class:`~repro.control.pi.PIBank` with a ``(row, core)`` lane per
+    core of every row; a global row's lanes all read its chip-hot value
+    and so step as its one controller. A stop-go stage runs one trip
+    pass, and only a trip splits on the row's scope.
     """
 
     def __init__(self, members: List[_Member]):
@@ -847,30 +857,36 @@ class _StepwiseGroup(_GroupBase):
             ):  # pragma: no cover - machine equality implies this
                 raise FleetIncompatibleError("heterogeneous actuator penalties")
 
-        # Throttle stages, ascending: (kind, scope, lo, hi, rows whose
-        # plans gate DVFS commits, the same as an index array, PI bank).
-        # Gated rows replay accepted-candidate transitions through the
-        # member's real injector, so reject/latency streams and counters
-        # advance as in the scalar run, where the actuator consults the
-        # gate only for requests passing the min-transition filter.
+        # Global-scope rows, as a column that selects per row.
+        self.chip_rows = np.array(
+            [[scope == "global"] for _kind, scope, _mig in self.family]
+        )
+
+        # Throttle stages, one per run of rows of one kind, ascending:
+        # (lo, hi, rows whose plans gate DVFS commits, the same as an
+        # index array, PI bank or None for stop-go, whether a global row
+        # is among them). Gated rows replay accepted-candidate
+        # transitions through the member's real injector, so
+        # reject/latency streams and counters advance as in the scalar
+        # run, where the actuator consults the gate only for requests
+        # passing the min-transition filter.
         gated = [
             i for i in self.fault_rows if sims[i]._faults._dvfs_faults
         ]
         self.stages: List[tuple] = []
         #: Row -> (PI bank, lane) of each DVFS row.
         self.row_lane: Dict[int, Tuple[PIBank, int]] = {}
-        for (kind, scope), run in groupby(
-            range(n), key=lambda i: self.family[i][:2]
-        ):
+        for kind, run in groupby(range(n), key=lambda i: kinds[i]):
             if kind == "none":
                 continue
             run = list(run)
             lo, hi = run[0], run[-1] + 1
             rows = [i for i in gated if lo <= i < hi]
-            bank = self._pi_bank(scope, lo, hi) if kind == "dvfs" else None
-            self.stages.append(
-                (kind, scope, lo, hi, rows, np.asarray(rows, dtype=np.int64), bank)
-            )
+            bank = self._pi_bank(lo, hi) if kind == "dvfs" else None
+            self.stages.append((
+                lo, hi, rows, np.asarray(rows, dtype=np.int64), bank,
+                bool(self.chip_rows[lo:hi].any()),
+            ))
 
         # Stop-go state. The duty windows count steps and active steps;
         # a block adds its step count and the active steps it stored as
@@ -918,51 +934,41 @@ class _StepwiseGroup(_GroupBase):
         self.inc = np.empty((n, C, _P_COLS))
         self.inc[:, :, _CYC] = self.nominal_cycles
 
-    def _pi_bank(self, scope: str, lo: int, hi: int) -> PIBank:
-        """The PI bank of DVFS rows ``[lo:hi]``, one lane per row.
+    def _pi_bank(self, lo: int, hi: int) -> PIBank:
+        """The PI bank of DVFS rows ``[lo:hi]``: lanes ``(row, core)``.
 
-        The live rows of a stage are a prefix of its rows, so the bank
-        steps a prefix of its lanes. A bank's controller design and
-        per-core floors are functions of the machine description, so
-        the first row's controllers stand for every row.
+        Lane ``(row, c)`` mirrors the controller that drives core ``c``
+        (``controller_for``): its own on a distributed row, the one
+        shared controller on a global row, whose lanes then step with
+        equal setpoints, floors, states and readings, bit for bit alike.
+        Per-class DVFS floors (scenario chips) give each lane its
+        controller's ``output_min``. The live rows of a stage are a
+        prefix of its rows, so the bank steps a prefix of its lanes. A
+        bank's controller design is a function of the machine
+        description, so the first row's controller stands for every row.
         """
+        C = self.n_cores
         sims = self.sims[lo:hi]
-        ctrls0 = sims[0].throttle.controllers
-        ctrl0 = ctrls0[0]
-        if scope == "distributed":
-            setpoints = np.array(
-                [[s.throttle.setpoint_c] * self.n_cores for s in sims]
-            )
-            # Per-class DVFS floors (scenario chips) give each core's
-            # controller its own output_min; a (C,) floor array
-            # broadcasts against (rows, C) lanes exactly like one scalar
-            # controller per lane. Homogeneous floors keep the scalar
-            # fast path.
-            floors = [c.output_min for c in ctrls0]
-            out_min = (
-                ctrl0.output_min
-                if all(f == ctrl0.output_min for f in floors)
-                else np.array(floors)
-            )
-        else:
-            setpoints = np.array([s.throttle.setpoint_c for s in sims])
-            out_min = ctrl0.output_min
+        lanes = [[s.throttle.controller_for(c) for c in range(C)] for s in sims]
+        ctrl0 = lanes[0][0]
         bank = PIBank(
             ctrl0.design,
-            setpoints,
-            output_min=out_min,
+            [[s.throttle.setpoint_c] * C for s in sims],
+            output_min=[[ctrl.output_min for ctrl in row] for row in lanes],
             output_max=ctrl0.output_max,
             block=self.block,
         )
-        for lane, s in enumerate(sims):
+        for lane in range(hi - lo):
             self.row_lane[lo + lane] = (bank, lane)
-            ctrls = s.throttle.controllers
-            if scope == "distributed":
-                for c in range(self.n_cores):
-                    bank.read_lane((lane, c), ctrls[c])
-            else:
-                bank.read_lane(lane, ctrls[0])
+            self._read_bank(lo + lane)
         return bank
+
+    def _read_bank(self, i: int) -> None:
+        """Copy row ``i``'s controllers into its bank lanes."""
+        bank, lane = self.row_lane[i]
+        throttle = self.sims[i].throttle
+        for c in range(self.n_cores):
+            bank.read_lane((lane, c), throttle.controller_for(c))
 
     # -- OS-tick bridge ----------------------------------------------------
 
@@ -1047,16 +1053,13 @@ class _StepwiseGroup(_GroupBase):
 
     def _sync_throttle_in(self, i: int) -> None:
         """Write row ``i``'s throttle state into its real policy objects."""
-        kind, scope, _mig = self.family[i]
+        kind = self.family[i][0]
         sim = self.sims[i]
         if kind == "dvfs":
+            # A global row's one controller takes lane (row, 0).
             bank, lane = self.row_lane[i]
-            ctrls = sim.throttle.controllers
-            if scope == "distributed":
-                for c in range(self.n_cores):
-                    bank.write_lane((lane, c), ctrls[c])
-            else:
-                bank.write_lane(lane, ctrls[0])
+            for c, ctrl in enumerate(sim.throttle.controllers):
+                bank.write_lane((lane, c), ctrl)
             for c, a in enumerate(sim.actuators):
                 a.current_scale = float(self.cur[i, c])
                 a.transitions = int(self.trans[i, c])
@@ -1074,18 +1077,11 @@ class _StepwiseGroup(_GroupBase):
 
     def _sync_throttle_out(self, i: int) -> None:
         """Read row ``i``'s throttle state back after its OS tick."""
-        kind, scope, _mig = self.family[i]
-        sim = self.sims[i]
+        kind = self.family[i][0]
         if kind == "dvfs":
-            bank, lane = self.row_lane[i]
-            ctrls = sim.throttle.controllers
-            if scope == "distributed":
-                for c in range(self.n_cores):
-                    bank.read_lane((lane, c), ctrls[c])
-            else:
-                bank.read_lane(lane, ctrls[0])
+            self._read_bank(i)
         elif kind == "stopgo":
-            pol = sim.throttle
+            pol = self.sims[i].throttle
             self.fu[i] = pol._frozen_until
             self.wsteps[i] = pol._window_steps
             self.wactive[i] = pol._window_active
@@ -1093,7 +1089,7 @@ class _StepwiseGroup(_GroupBase):
 
     def _sync_sampler_counters(self, i: int) -> None:
         """Refresh the real objects the sampler's counter closures read."""
-        kind, scope, _mig = self.family[i]
+        kind = self.family[i][0]
         sim = self.sims[i]
         flush = self.fault_flush.get(i)
         if flush is not None:
@@ -1102,36 +1098,32 @@ class _StepwiseGroup(_GroupBase):
         if kind == "dvfs":
             for c, a in enumerate(sim.actuators):
                 a.transitions = int(self.trans[i, c])
-            ctrls = sim.throttle.controllers
             bank, lane = self.row_lane[i]
-            prev = bank.previous_error[lane]
-            if scope == "distributed":
-                for c in range(self.n_cores):
-                    ctrls[c]._previous_error = float(prev[c])
-            else:
-                ctrls[0]._previous_error = float(prev)
+            prev = bank.previous_error[lane].tolist()
+            for c, ctrl in enumerate(sim.throttle.controllers):
+                ctrl._previous_error = prev[c]
         elif kind == "stopgo":
             sim.throttle.trip_count = int(self.trips[i])
 
     # -- throttle stages ---------------------------------------------------
 
-    def _dvfs_stage(self, scope, lo, hi, t, hot, j, gated, gated_ix, bank):
-        """PI step, actuator gate and PLL stalls of DVFS rows ``[lo:hi]``."""
-        C = self.n_cores
+    def _dvfs_stage(self, lo, hi, t, hot, j, gated, gated_ix, bank, chip):
+        """PI step, actuator gate and PLL stalls of DVFS rows ``[lo:hi]``.
+
+        ``chip`` says whether a global row is among them: every lane of
+        a global row then reads the chip-hot value instead of its core's.
+        """
         hot = hot[lo:hi]
-        if scope == "distributed":
-            req = bank.step_prefix(hi - lo, hot, j)
-        else:
-            # Chip-hot as the scalar's Python ``max`` left fold (update
-            # only on strictly-greater), so a NaN core reading falls
-            # through instead of poisoning the chip maximum as
-            # hot.max(axis=1) would.
-            chip_hot = hot[:, 0]
-            for c in range(1, C):
-                col = hot[:, c]
-                chip_hot = np.where(col > chip_hot, col, chip_hot)
-            g = bank.step_prefix(hi - lo, chip_hot, j)
-            req = np.broadcast_to(g[:, None], (hi - lo, C))
+        if chip:
+            # Chip-hot as the scalar's Python ``max`` left fold, which
+            # takes a reading only when it is strictly greater: np.fmax
+            # skips a NaN reading as that fold does, and np.maximum puts
+            # back a NaN first reading, which no later reading replaces.
+            # Both are selections, so the value is the fold's exactly.
+            hottest = np.fmax.reduce(hot, axis=1, keepdims=True)
+            np.maximum(hot[:, :1], hottest, out=hottest)
+            hot = np.where(self.chip_rows[lo:hi], hottest, hot)
+        req = bank.step_prefix(hi - lo, hot, j)
         cur = self.cur[lo:hi]
         accept = np.abs(req - cur) >= self.mta[lo:hi]
         extras = None
@@ -1178,8 +1170,8 @@ class _StepwiseGroup(_GroupBase):
             [v ** 2 for v in scales]
         )[:, None]
 
-    def _stopgo_stage(self, scope, lo, hi, t, hot):
-        """Trips and freezes of stop-go rows ``[lo:hi]``.
+    def _stopgo_stage(self, lo, hi, t, hot):
+        """Trips and freezes of stop-go rows ``[lo:hi]``, either scope.
 
         Writes the rows' ``frozen`` flags and their ``gate``.
         """
@@ -1190,17 +1182,16 @@ class _StepwiseGroup(_GroupBase):
         # temperature while it is not frozen (NaN never trips).
         newly = np.greater(hot[lo:hi] >= self.trip_temp[lo:hi], frozen)
         if np.count_nonzero(newly):
-            if scope == "distributed":
-                np.copyto(fu, t + self.freeze[lo:hi], where=newly)
-                self.trips[lo:hi] += newly.sum(axis=1)
-            else:
-                chip_trip = newly.any(axis=1)
-                np.copyto(
-                    fu,
-                    np.maximum(fu, t + self.freeze[lo:hi]),
-                    where=chip_trip[:, None],
-                )
-                self.trips[lo:hi] += chip_trip
+            # A trip freezes its core on a distributed row; on a global
+            # row it freezes the whole chip, pushing no core's freeze
+            # earlier, and counts once.
+            until = t + self.freeze[lo:hi]
+            chip_rows = self.chip_rows[lo:hi]
+            chip_trip = newly.any(axis=1, keepdims=True) & chip_rows
+            newly &= ~chip_rows
+            np.copyto(fu, until, where=newly)
+            np.copyto(fu, np.maximum(fu, until), where=chip_trip)
+            self.trips[lo:hi] += newly.sum(axis=1) + chip_trip[:, 0]
             np.less(t, fu, out=frozen)
         np.logical_not(frozen, out=self.gate[lo:hi])
 
@@ -1311,17 +1302,17 @@ class _StepwiseGroup(_GroupBase):
 
             # Throttle: one stage per run of rows, on basic slices.
             j = self.blk_k
-            for kind, scope, lo, hi, gated, gated_ix, bank in stages:
+            for lo, hi, gated, gated_ix, bank, chip in stages:
                 if lo >= m:
                     break
                 if hi > m:
                     hi = m
-                if kind == "dvfs":
+                if bank is not None:
                     self._dvfs_stage(
-                        scope, lo, hi, t, hot, j, gated, gated_ix, bank
+                        lo, hi, t, hot, j, gated, gated_ix, bank, chip
                     )
                 else:
-                    self._stopgo_stage(scope, lo, hi, t, hot)
+                    self._stopgo_stage(lo, hi, t, hot)
 
             # Work, stall and frozen terms land in this step's columns
             # of the metric block.
@@ -1425,7 +1416,7 @@ class _StepwiseGroup(_GroupBase):
             frozen = frozen.reshape(m, k, self.n_cores)
             self.wactive[:m] += k - np.count_nonzero(frozen, axis=1)
             self.wsteps[:m] += k
-        for _kind, _scope, lo, hi, _gated, _ix, bank in self.stages:
+        for lo, hi, _gated, _ix, bank, _chip in self.stages:
             if bank is not None and lo < m:
                 bank.fold_window(min(hi, m) - lo, k)
         if self.has_migration:

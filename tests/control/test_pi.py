@@ -1,5 +1,6 @@
 """Tests for the PI design and the discrete runtime controller."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from repro.control.pi import (
     PAPER_KI,
     PAPER_KP,
     DiscretePIController,
+    PIBank,
     design_paper_controller,
     design_pi,
 )
@@ -100,8 +102,6 @@ class TestAntiWindup:
 class TestConvergence:
     def test_regulates_first_order_plant_to_setpoint(self, design):
         """Closed loop with a thermal-like plant settles at the setpoint."""
-        import numpy as np
-
         setpoint = 82.2
         c = DiscretePIController(design, setpoint=setpoint)
         temp, tau, gain, ambient = 60.0, 7e-3, 55.0, 45.0
@@ -141,3 +141,56 @@ class TestFeedbackWindow:
         c.reset()
         assert c.output == MAX_FREQUENCY_SCALE
         assert c.average_output == MAX_FREQUENCY_SCALE
+
+
+class TestPIBank:
+    def test_per_lane_floors_match_scalar_controllers(self, design):
+        """A bank of (3 rows, 2 cores) lanes, each with its own floor and
+        its row's setpoint, stepped on a live prefix of two rows and fed
+        a NaN reading, equals one scalar controller per lane."""
+        floors = np.array([[0.2, 0.5], [0.6, 0.6], [0.3, 0.4]])
+        setpoints = np.array([[80.0, 80.0], [85.0, 85.0], [82.0, 82.0]])
+        block = 4
+        bank = PIBank(
+            design, setpoints, output_min=floors, output_max=1.0, block=block
+        )
+        ctrls = [
+            [
+                DiscretePIController(
+                    design, setpoint=setpoints[r, c], output_min=floors[r, c]
+                )
+                for c in range(2)
+            ]
+            for r in range(3)
+        ]
+        # Hot enough to pin every lane to its own floor, then a NaN
+        # reading (clamped to the floor, as the scalar does) and cooling.
+        readings = [120.0] * 60 + [float("nan")] + [70.0, 95.0, 60.0]
+        m = 2
+        for k, temp in enumerate(readings):
+            measured = np.array([[temp, temp - 1.0], [temp + 2.0, temp]])
+            out = bank.step_prefix(m, measured, k % block)
+            for r in range(m):
+                for c in range(2):
+                    assert out[r, c] == ctrls[r][c].step(measured[r, c])
+            if k == 59:  # every stepped lane sits on its own floor
+                assert out.tolist() == floors[:m].tolist()
+            if k % block == block - 1 or k == len(readings) - 1:
+                bank.fold_window(m, k % block + 1)
+        for r in range(3):
+            for c in range(2):
+                probe = DiscretePIController(design, setpoint=0.0)
+                bank.write_lane((r, c), probe)
+                ref = ctrls[r][c]
+                got = (probe.output, probe._previous_error, probe._steps)
+                assert got == (ref.output, ref._previous_error, ref._steps)
+                assert probe._output_sum == ref._output_sum
+        # The row past the live prefix never stepped.
+        assert bank.output[2].tolist() == [1.0, 1.0]
+
+    def test_floor_must_stay_below_the_ceiling(self, design):
+        with pytest.raises(ValueError):
+            PIBank(
+                design, np.zeros((2, 2)), output_min=[[0.2, 1.0], [0.2, 0.2]],
+                block=1,
+            )

@@ -437,7 +437,7 @@ class TestRunnerChunkingAndDuplicates:
 class TestScenarioBitIdentity:
     """Many-core scenarios batch bit-identically: mesh16 and the
     heterogeneous biglittle4+4 chip (whose per-class DVFS floors drive
-    the PIBank's vector ``output_min`` path) must match scalar runs,
+    the PIBank's per-lane ``output_min`` floors) must match scalar runs,
     and the fleet backend must match pool on full 16-core RunPoints."""
 
     def _members(self, scenario_name, spec_keys, duration_s=0.004):

@@ -231,6 +231,170 @@ class TestMixedGroup:
             assert samplers[i].series.columns == ref_sampler.series.columns
 
 
+@pytest.fixture
+def stepwise_groups(monkeypatch):
+    """Every stepwise group a fleet builds, in build order."""
+    groups = []
+    init = fleet_module._StepwiseGroup.__init__
+
+    def recording_init(group, members):
+        init(group, members)
+        groups.append(group)
+
+    monkeypatch.setattr(fleet_module._StepwiseGroup, "__init__", recording_init)
+    return groups
+
+
+def assert_chip_lanes_equal(group, i):
+    """Row ``i``'s PI lanes hold one controller's state ``n_cores`` times."""
+    bank, lane = group.row_lane[i]
+    for arr in (
+        bank.output, bank.previous_error, bank.window_steps,
+        bank.output_sum, bank.setpoints, bank.output_min,
+    ):
+        row = arr[lane]
+        np.testing.assert_array_equal(row, np.full_like(row, row[0]))
+
+
+def pi_errors(sampler):
+    """Each PI-error histogram's count, bucket counts and sum."""
+    return [
+        (h.count, h.bucket_counts, h.sum)
+        for h in sampler.registry.collect()
+        if h.kind == "histogram"
+    ]
+
+
+class TestThrottleStages:
+    """Rows of one throttle kind step as one stage, whatever their scope:
+    DVFS rows in one PI bank with ``(row, core)`` lanes, a global row's
+    lanes all reading its chip-hot value; stop-go rows in one trip pass."""
+
+    GLOBAL_DVFS = spec_by_key("global-dvfs-none")
+
+    def test_taxonomy_batch_builds_one_stage_per_kind(self, stepwise_groups):
+        cfg = SimulationConfig(duration_s=8 * DT)
+        run_and_check([(W7, spec, cfg) for spec in ALL_POLICY_SPECS])
+        (group,) = stepwise_groups
+        (lo, hi, _, _, bank, chip), stopgo = group.stages
+        assert (lo, hi, chip) == (0, 6, True)
+        assert bank.output.shape == (hi - lo, group.n_cores)
+        lo, hi, _, _, bank, chip = stopgo
+        assert (lo, hi, bank, chip) == (6, 12, None, True)
+
+    def test_biglittle_scopes_mix_and_global_rows_retire(self):
+        """biglittle4+4 with every kind and scope: the DVFS stage holds
+        distributed rows of 144 steps and global rows of 67, the
+        stop-go stage distributed rows of 67 and global rows of 41, so
+        each stage's global rows retire while its distributed rows step
+        on. At a 60 C threshold a distributed DVFS chip drives cores
+        down to each class floor and a global chip to the highest one,
+        and both stop-go scopes trip."""
+        from repro.scenarios import get_scenario
+        from repro.sim.workloads import tile_workload
+
+        scenario = get_scenario("biglittle4+4")
+        workload = tile_workload(W7, scenario.n_cores)
+        members = [
+            (workload, spec_by_key(key), SimulationConfig(
+                duration_s=steps * DT, threshold_c=threshold,
+                machine=scenario.machine_config(), scenario=scenario,
+            ))
+            for key, steps in (
+                ("distributed-dvfs-none", 144),
+                ("global-dvfs-none", 67),
+                ("distributed-stop-go-none", 67),
+                ("global-stop-go-none", 41),
+            )
+            for threshold in (60.0, 75.0)
+        ]
+        engine = run_and_check(members)
+        hot = [m.sim for m in engine.members if m.sim.config.threshold_c == 60.0]
+        dist_dvfs, glob_dvfs, dist_sg, glob_sg = hot
+        floors = [c.output_min for c in dist_dvfs.throttle.controllers]
+        assert glob_dvfs.throttle.controllers[0].output_min == max(floors)
+        assert [a.current_scale for a in glob_dvfs.actuators] == [max(floors)] * 8
+        assert set(floors) <= {a.current_scale for a in dist_dvfs.actuators}
+        assert dist_sg.throttle.trip_count > glob_sg.throttle.trip_count > 0
+
+    def test_global_lanes_stay_equal_across_os_ticks(
+        self, short_blocks, stepwise_groups, monkeypatch
+    ):
+        """A migrating global-DVFS row beside distributed rows of its
+        stage: its lanes match at every OS tick, entering and leaving
+        it, and at the end."""
+        counter = spec_by_key("global-dvfs-counter")
+        ticks = []
+        tick = fleet_module._StepwiseGroup._member_tick
+
+        def checked_tick(group, i, t, sens_row):
+            global_row = group.family[i][1] == "global"
+            if global_row:
+                assert_chip_lanes_equal(group, i)
+            tick(group, i, t, sens_row)
+            if global_row:
+                assert_chip_lanes_equal(group, i)
+                ticks.append(t)
+
+        monkeypatch.setattr(
+            fleet_module._StepwiseGroup, "_member_tick", checked_tick
+        )
+        members = [
+            (W7, spec, SimulationConfig(
+                duration_s=0.006, migration_period_s=5e-4,
+                threshold_c=threshold,
+            ))
+            for spec in (DVFS, counter)
+            for threshold in (70.0, 84.2)
+        ]
+        engine = run_and_check(members)
+        assert len(ticks) >= 20
+        (group,) = stepwise_groups
+        for i, sim in enumerate(group.sims):
+            if sim.spec == counter:
+                assert_chip_lanes_equal(group, i)
+        assert sum(m.sim.scheduler.total_migrations for m in engine.members)
+
+    @pytest.mark.parametrize("core", [0, 2])
+    def test_nan_dropouts_on_a_global_row(self, core):
+        """NaN readings on one core of a global-DVFS chip: on core 0 the
+        scalar ``max`` fold keeps the NaN first reading (the chip-hot
+        reading is NaN), on a later core it skips it."""
+        plan = FaultPlan(faults=(
+            DropoutFault(core=core, start_s=0.0, end_s=0.004, prob=0.5,
+                         mode="nan"),
+        ))
+        members = [
+            (W7, spec, SimulationConfig(
+                duration_s=0.004, fault_plan=plan, seed=seed,
+                threshold_c=80.0,
+            ))
+            for spec in (DVFS, self.GLOBAL_DVFS)
+            for seed in (3, 4)
+        ]
+        run_and_check(members)
+
+    def test_telemetry_on_a_global_dvfs_row(self, short_blocks):
+        cfg = SimulationConfig(duration_s=0.003, threshold_c=80.0)
+        specs = (DVFS, self.GLOBAL_DVFS, COUNTER)
+        samplers = [None, TelemetrySampler(2 * DT), None]
+        results = FleetEngine(
+            [(W7, s, cfg) for s in specs], telemetry=samplers
+        ).run()
+        ref_sampler = TelemetrySampler(2 * DT)
+        _, ref = scalar_run(W7, self.GLOBAL_DVFS, cfg, telemetry=ref_sampler)
+        assert scalar_fields(results[1]) == scalar_fields(
+            replace(ref, workload=results[1].workload)
+        )
+        assert samplers[1].series.times == ref_sampler.series.times
+        assert samplers[1].series.columns == ref_sampler.series.columns
+        # The chip-wide PI-error histogram reads the controller's error
+        # at each sample instant.
+        assert pi_errors(samplers[1]) == pi_errors(ref_sampler)
+        ((samples, _buckets, _sum),) = pi_errors(ref_sampler)
+        assert samples == len(ref_sampler.series.times)
+
+
 class TestTraceWindow:
     def test_positions_wrap_past_the_trace_end(self, short_blocks):
         # A 40-sample trace under a 150-step horizon wraps several times.
