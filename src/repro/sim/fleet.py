@@ -60,10 +60,13 @@ grouped by :func:`lockstep_key`, one rule per machine — its fusable
 members in one group, its stepwise members (every throttle family,
 scope and migration kind, and unthrottled members that cannot fuse) in
 another — and each group steps in lockstep with members retiring as
-their horizons end. A stepwise group runs its shared stages once per
-step over all live rows and only the throttle stage per throttle kind,
-on a basic slice of that kind's rows, both scopes together (see
-:class:`_StepwiseGroup`).
+their horizons end. Fusable members that :func:`stepwise_riders` seats
+in the stepwise group (at least :data:`FLEET_MIN_WIDTH` wide, covering
+their horizons) step there instead, as rows with no throttle stage, so
+a machine's mixed batch runs one lockstep loop. A stepwise group runs
+its shared stages once per step over all live rows and only the
+throttle stage per throttle kind, on a basic slice of that kind's rows,
+both scopes together (see :class:`_StepwiseGroup`).
 
 Stochastic members (fault plans, sensor noise) batch too, by **stream
 replay**: each member keeps its own per-fault and per-chip RNG streams
@@ -197,12 +200,63 @@ def lockstep_key(
     :func:`substrate_key`). A machine's points form at most two groups:
     the fusable ones and the stepwise ones, every throttle family
     together (the stepwise loop runs only its throttle stage per
-    throttle kind, whatever the scope). A DVFS member's controller
-    design and per-core floors are
-    functions of the machine description (its sample period and a
-    scenario's per-class floors), so one group's DVFS rows share them.
+    throttle kind, whatever the scope). :func:`stepwise_riders` then
+    moves the fusable points that ride the stepwise group into it; the
+    key alone cannot say which, since riding depends on the group's
+    width and horizons. A DVFS member's controller design and per-core
+    floors are functions of the machine description (its sample period
+    and a scenario's per-class floors), so one group's DVFS rows share
+    them.
     """
     return (substrate, "stepwise" if fusion_blockers(spec, config) else "fused")
+
+
+#: Narrowest lockstep chunk (in :func:`live_width`) the default plan
+#: steps in the fleet, and the narrowest stepwise group that unthrottled
+#: points ride (:func:`stepwise_riders`). On a 2-vCPU host at a 0.15 s
+#: horizon, a group of two ran at 0.84-1.09x the speed of its points'
+#: scalar runs and a group of three at 1.31-1.65x, in every throttle
+#: family; mixed-family pairs still lose in some mixes
+#: (docs/PERFORMANCE.md).
+FLEET_MIN_WIDTH = 3
+
+
+def live_width(points: Sequence) -> float:
+    """Mean number of live members per step of a lockstep chunk.
+
+    ``points`` are anything with a ``config`` (run points, fleet
+    members). A chunk steps until its longest horizon ends, and each
+    step costs about the same whatever the number of live rows, so what
+    it gains over the scalar engine grows with its member-steps over its
+    longest horizon, not with its member count: three points of equal
+    horizon have width 3, one long point beside two that retire early
+    has less.
+    """
+    steps = [p.config.n_steps for p in points]
+    return sum(steps) / max(steps)
+
+
+def stepwise_riders(fusable: Sequence, stepwise: Sequence) -> List[bool]:
+    """Which of a machine's fusable points step in its stepwise group.
+
+    ``fusable`` and ``stepwise`` are one machine's points of each
+    :func:`lockstep_key` kind (anything with a ``config``). An
+    unthrottled point rides the stepwise loop as a row of kind
+    ``"none"``: it pays only its width in the shared stages and no
+    throttle stage, where a fused group of its own would pay every
+    shared call of a step a second time. It rides when the stepwise
+    points are at least :data:`FLEET_MIN_WIDTH` wide, the width at which
+    the default plan steps them in the fleet, and its horizon is at most
+    their longest one. A longer point would keep the loop stepping for
+    it alone, and beside a narrow group its own fused loop is cheaper.
+    :class:`FleetEngine` applies this rule to each machine of a batch
+    and the runner's default plan to each stepwise chunk, so the two
+    agree on every chunk the plan builds.
+    """
+    if not stepwise or live_width(stepwise) < FLEET_MIN_WIDTH:
+        return [False] * len(fusable)
+    longest = max(p.config.n_steps for p in stepwise)
+    return [p.config.n_steps <= longest for p in fusable]
 
 
 def _family(spec: Optional[PolicySpec]) -> Tuple[str, str, bool]:
@@ -229,6 +283,11 @@ class _Member:
         self.fused = False
         #: Members of the lockstep group this one stepped in.
         self.width = 0
+
+    @property
+    def config(self) -> SimulationConfig:
+        """The member's configuration, as on a run point."""
+        return self.sim.config
 
 
 class _LiveMetrics:
@@ -387,8 +446,16 @@ class FleetEngine:
             sim = member.sim
             key = lockstep_key(sim.spec, sim.config, id(sim._substrate))
             groups.setdefault(key, []).append(member)
+        for (machine, kind), fusable in groups.items():
+            stepwise = groups.get((machine, "stepwise"))
+            if kind == "fused" and stepwise:
+                rides = stepwise_riders(fusable, stepwise)
+                stepwise += [m for m, r in zip(fusable, rides) if r]
+                fusable[:] = [m for m, r in zip(fusable, rides) if not r]
 
         for key, group in groups.items():
+            if not group:
+                continue
             # Descending horizons so retiring members always form a
             # suffix and the live set stays a contiguous prefix; within
             # a horizon each throttle family takes one run of rows.
@@ -728,10 +795,12 @@ class _StepwiseGroup(_GroupBase):
     """Lockstep batched version of the engine's general stepwise loop.
 
     One group holds every stepwise member of a machine, whatever its
-    throttle family. Rows lie in ``(-horizon, family)`` order (see
-    :meth:`FleetEngine.run`), so the rows sharing a throttle kind form
-    one run per horizon, distributed rows before global ones: a *stage*
-    (runs of one kind on adjacent horizons form one stage). Each step
+    throttle family, and the fusable members that ride it
+    (:func:`stepwise_riders`) as rows of kind ``"none"``. Rows lie in
+    ``(-horizon, family)`` order (see :meth:`FleetEngine.run`), so the
+    rows sharing a throttle kind form one run per horizon, distributed
+    rows before global ones: a *stage* (runs of one kind on adjacent
+    horizons form one stage). Each step
     runs the shared stages (trace gather, sensors, power, progress,
     thermal step, block writes) once over the live rows and the
     throttle stage once per stage, on a basic slice of its rows, into

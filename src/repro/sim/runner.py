@@ -648,31 +648,27 @@ PATH_SCALAR = "scalar"
 #: Reason of a fleet point, and of a scalar point of the pool backend.
 #: Other scalar points carry the fallback reason the plan gave them:
 #: ``"narrow"`` (a lockstep group or chunk narrower than
-#: :data:`FLEET_MIN_WIDTH`, see :func:`live_width`) or their first
+#: :data:`~repro.sim.fleet.FLEET_MIN_WIDTH`, see
+#: :func:`~repro.sim.fleet.live_width`) or their first
 #: :func:`~repro.sim.fleet.fleet_blockers` entry.
 REASON_LOCKSTEP = "lockstep"
 REASON_POOL_BACKEND = "pool-backend"
 REASON_NARROW = "narrow"
 
-#: Narrowest lockstep chunk (in :func:`live_width`) the default plan
-#: steps in the fleet. On a 2-vCPU host at a 0.15 s horizon, a group of
-#: two ran at 0.84-1.09x the speed of its points' scalar runs and a group
-#: of three at 1.31-1.65x, in every throttle family; mixed-family pairs
-#: still lose in some mixes (docs/PERFORMANCE.md).
-FLEET_MIN_WIDTH = 3
 
+def __getattr__(name: str):
+    """Resolve the fleet's width names on first use.
 
-def live_width(points: Sequence["RunPoint"]) -> float:
-    """Mean number of live members per step of a lockstep chunk.
-
-    A chunk steps until its longest horizon ends, and each step costs
-    about the same whatever the number of live rows, so what it gains
-    over the scalar engine grows with its member-steps over its longest
-    horizon, not with its member count: three points of equal horizon
-    have width 3, one long point beside two that retire early has less.
+    :data:`~repro.sim.fleet.FLEET_MIN_WIDTH` and
+    :func:`~repro.sim.fleet.live_width` live beside the fleet's grouping
+    rules and load with the fleet engine, so that importing the runner
+    does not import the engine.
     """
-    steps = [p.config.n_steps for p in points]
-    return sum(steps) / max(steps)
+    if name in ("FLEET_MIN_WIDTH", "live_width"):
+        from repro.sim import fleet
+
+        return getattr(fleet, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -841,14 +837,16 @@ class ParallelRunner:
         backend: ``"auto"`` (default) plans each batch: points that
             share a lockstep group
             (:func:`~repro.sim.fleet.lockstep_key`)
-            :data:`FLEET_MIN_WIDTH` or more at a time (by
-            :func:`live_width`) step together in a vectorised
-            :class:`~repro.sim.fleet.FleetEngine`; narrower groups and
-            fleet-ineligible points (sensor guards, hardware trip) run
-            on the scalar engine. A group is split into at most ``jobs``
-            chunks of that many members or more, and fleet
-            chunks and scalar points share one process pool, a task
-            each.
+            :data:`~repro.sim.fleet.FLEET_MIN_WIDTH` or more at a time
+            (by :func:`~repro.sim.fleet.live_width`) step together in a
+            vectorised :class:`~repro.sim.fleet.FleetEngine`, with the
+            unthrottled points of their machine that
+            :func:`~repro.sim.fleet.stepwise_riders` lets ride them;
+            narrower groups and fleet-ineligible points (sensor guards,
+            hardware trip) run on the scalar engine. A group is split
+            into at most ``jobs`` chunks of that many members or more,
+            and fleet chunks and scalar points share one process pool,
+            a task each.
             ``"pool"`` runs every point on the scalar engine, the
             reference the other two are checked against. ``"fleet"``
             steps every eligible point of a call through one
@@ -1121,11 +1119,24 @@ class ParallelRunner:
         ``"fleet"`` keeps them in one group. Each group splits evenly
         into the fewest chunks that satisfy ``fleet_chunk`` and, for
         ``"auto"``, into at most ``jobs`` chunks of at least
-        :data:`FLEET_MIN_WIDTH` members. Under ``"auto"`` each point of
-        a chunk whose :func:`live_width` is below
-        :data:`FLEET_MIN_WIDTH` runs on the scalar engine.
+        :data:`~repro.sim.fleet.FLEET_MIN_WIDTH` members. Under
+        ``"auto"`` each point of a chunk whose
+        :func:`~repro.sim.fleet.live_width` is below that width runs on
+        the scalar engine, and a machine's fusable points that
+        :func:`~repro.sim.fleet.stepwise_riders` lets ride one of its
+        stepwise fleet chunks join it (the least loaded one that covers
+        the point's horizon and has room under ``fleet_chunk``), so
+        that the engine steps each such chunk as one group. The other
+        fusable points split as a group of their own.
         """
-        from repro.sim.fleet import fleet_blockers, lockstep_key, substrate_key
+        from repro.sim.fleet import (
+            FLEET_MIN_WIDTH,
+            fleet_blockers,
+            live_width,
+            lockstep_key,
+            stepwise_riders,
+            substrate_key,
+        )
 
         if self.backend == "pool":
             return [([i], REASON_POOL_BACKEND) for i in range(len(points))]
@@ -1151,8 +1162,8 @@ class ParallelRunner:
                     machine = machines[ident] = substrate_key(cfg)
                 key = lockstep_key(point.spec, cfg, machine)
             groups.setdefault(key, []).append(i)
-        chunks: List[Tuple[List[int], str]] = []
-        for members in groups.values():
+
+        def split(members: List[int]) -> List[List[int]]:
             n = len(members)
             count = 1
             if auto:
@@ -1160,17 +1171,60 @@ class ParallelRunner:
             if self.fleet_chunk is not None:
                 count = max(count, -(-n // self.fleet_chunk))
             size, extra = divmod(n, count)
-            lo = 0
+            parts, lo = [], 0
             for c in range(count):
                 hi = lo + size + (c < extra)
-                part = members[lo:hi]
+                parts.append(members[lo:hi])
                 lo = hi
-                if auto and live_width(
-                    [points[i] for i in part]
-                ) < FLEET_MIN_WIDTH:
-                    scalar.extend(([i], REASON_NARROW) for i in part)
-                else:
+            return parts
+
+        def wide(part: List[int]) -> bool:
+            width = live_width([points[i] for i in part])
+            return not auto or width >= FLEET_MIN_WIDTH
+
+        parts = {
+            key: split(members)
+            for key, members in groups.items()
+            if key is None or key[1] != "fused"
+        }
+        for key, members in groups.items():
+            if key is None or key[1] != "fused":
+                continue
+            hosts = [p for p in parts.get((key[0], "stepwise"), ()) if wide(p)]
+            fusable = [points[i] for i in members]
+            rides = [
+                stepwise_riders(fusable, [points[i] for i in host])
+                for host in hosts
+            ]
+            load = [
+                sum(points[i].config.n_steps for i in host) for host in hosts
+            ]
+            rest = []
+            for j, i in enumerate(members):
+                seats = [
+                    h for h, host in enumerate(hosts)
+                    if rides[h][j] and (
+                        self.fleet_chunk is None
+                        or len(host) < self.fleet_chunk
+                    )
+                ]
+                if not seats:
+                    rest.append(i)
+                    continue
+                h = min(seats, key=load.__getitem__)
+                hosts[h].append(i)
+                load[h] += points[i].config.n_steps
+            for host in hosts:
+                host.sort()
+            parts[key] = split(rest) if rest else []
+
+        chunks: List[Tuple[List[int], str]] = []
+        for key in groups:
+            for part in parts[key]:
+                if wide(part):
                     chunks.append((part, REASON_LOCKSTEP))
+                else:
+                    scalar.extend(([i], REASON_NARROW) for i in part)
         return chunks + scalar
 
     def _execute_plan(

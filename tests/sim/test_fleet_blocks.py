@@ -24,9 +24,11 @@ from repro.faults.models import (
     SpikeFault,
 )
 from repro.obs.telemetry import TelemetrySampler
+from repro.obs.tracing import KIND_POINT, SpanRecorder
 from repro.sim import fleet as fleet_module
 from repro.sim.engine import SimulationConfig
 from repro.sim.fleet import FleetEngine
+from repro.sim.runner import ParallelRunner, RunPoint
 from repro.sim.workloads import get_workload
 
 from tests.sim.test_fleet import (
@@ -163,7 +165,7 @@ class TestMixedGroup:
         """The 12 taxonomy policies on three horizons, plus stochastic
         members: a faulted unthrottled one, a noisy one, a global-DVFS
         one with NaN dropouts, a DVFS one whose commits are gated, and
-        an unthrottled one that fuses."""
+        a fusable unthrottled one, which rides the stepwise group."""
         d = self.D
         horizons = (144, 101, 67)  # two retire mid-block
         members = [
@@ -200,9 +202,8 @@ class TestMixedGroup:
     def test_one_group_matches_scalar(self, short_blocks):
         members = self.members()
         engine = run_and_check(members)
-        stepwise = [m for m in engine.members if not m.fused]
-        assert len(stepwise) == len(members) - 1
-        assert {m.width for m in stepwise} == {len(stepwise)}
+        assert not any(m.fused for m in engine.members)
+        assert {m.width for m in engine.members} == {len(members)}
         for member, (workload, spec, cfg) in zip(engine.members, members):
             if member.sim.migration is not None:
                 ref, _ = scalar_run(workload, spec, cfg)
@@ -393,6 +394,108 @@ class TestThrottleStages:
         assert pi_errors(samplers[1]) == pi_errors(ref_sampler)
         ((samples, _buckets, _sum),) = pi_errors(ref_sampler)
         assert samples == len(ref_sampler.series.times)
+
+
+class TestRiders:
+    """A machine's unthrottled members ride its stepwise group when that
+    group is at least three wide and covers their horizons; every result
+    equals its scalar run on the stepwise path (``fuse_steps=False``)."""
+
+    CFG = SimulationConfig(duration_s=0.003)
+
+    def dvfs(self, cfg=CFG):
+        return [
+            (W7, DVFS, replace(cfg, threshold_c=t)) for t in (78.0, 80.0, 82.0)
+        ]
+
+    def run_riders(self, members):
+        engine = FleetEngine(members)
+        results = engine.run()
+        for result, member, (workload, spec, cfg) in zip(
+            results, engine.members, members
+        ):
+            stepwise = replace(cfg, fuse_steps=False)
+            assert_member_matches_scalar(
+                result, member.sim, workload, spec, stepwise
+            )
+        return engine, results
+
+    def test_equal_horizons_step_as_one_group(
+        self, short_blocks, stepwise_groups
+    ):
+        riders = [
+            (get_workload(w), None, self.CFG)
+            for w in ("workload2", "workload7", "workload11")
+        ]
+        engine, _ = self.run_riders(riders + self.dvfs())
+        assert [m.fused for m in engine.members] == [False] * 6
+        assert [m.width for m in engine.members] == [6] * 6
+        (group,) = stepwise_groups
+        assert len(group.members) == 6
+
+    def test_taxonomy_batch_keeps_two_stages(self, stepwise_groups):
+        """Rows of kind ``"none"`` sort between the DVFS and stop-go rows
+        of a horizon, so riders add no throttle stage."""
+        cfg = SimulationConfig(duration_s=8 * DT)
+        specs = [None, *ALL_POLICY_SPECS, None]
+        engine, _ = self.run_riders([(W7, spec, cfg) for spec in specs])
+        assert not any(m.fused for m in engine.members)
+        (group,) = stepwise_groups
+        assert [(lo, hi) for lo, hi, *_ in group.stages] == [(0, 6), (8, 14)]
+
+    def test_longer_unthrottled_member_stays_fused(self, stepwise_groups):
+        longer = (W7, None, replace(self.CFG, duration_s=0.004))
+        rider = (W7, None, self.CFG)
+        engine, _ = self.run_riders([longer, rider] + self.dvfs())
+        assert [m.fused for m in engine.members] == [True] + [False] * 4
+        assert [m.width for m in engine.members] == [1] + [4] * 4
+        (group,) = stepwise_groups
+        assert len(group.members) == 4
+
+    def test_narrow_mix_stays_split_under_the_fleet_backend(
+        self, stepwise_groups
+    ):
+        """Beside one DVFS point, two unthrottled points fuse apart even
+        when the fleet backend steps every point in the fleet."""
+        points = [
+            RunPoint(W7, None, self.CFG),
+            RunPoint(get_workload("workload2"), None, self.CFG),
+            RunPoint(W7, DVFS, self.CFG),
+        ]
+        tracer = SpanRecorder()
+        runner = ParallelRunner(backend="fleet", tracer=tracer)
+        results = runner.run_points(points)
+        (group,) = stepwise_groups
+        assert len(group.members) == 1
+        widths = [
+            s.attrs["group_width"] for s in tracer.spans() if s.kind == KIND_POINT
+        ]
+        assert sorted(widths) == [1, 2, 2]
+        for point, result in zip(points, results):
+            stepwise = replace(
+                point, config=replace(point.config, fuse_steps=False)
+            )
+            assert result == ParallelRunner(backend="pool").run_points(
+                [stepwise]
+            )[0]
+
+    def test_telemetry_on_a_rider(self, short_blocks):
+        samplers = [TelemetrySampler(2 * DT), None, None, None]
+        engine = FleetEngine(
+            [(W7, None, self.CFG)] + self.dvfs(), telemetry=samplers
+        )
+        results = engine.run()
+        assert not engine.members[0].fused
+        ref_sampler = TelemetrySampler(2 * DT)
+        _, ref = scalar_run(
+            W7, None, replace(self.CFG, fuse_steps=False),
+            telemetry=ref_sampler,
+        )
+        assert scalar_fields(results[0]) == scalar_fields(
+            replace(ref, workload=results[0].workload)
+        )
+        assert samplers[0].series.times == ref_sampler.series.times
+        assert samplers[0].series.columns == ref_sampler.series.columns
 
 
 class TestTraceWindow:

@@ -3,9 +3,10 @@
 ``ParallelRunner()`` plans every batch: eligible points that share a
 lockstep group (one per machine for stepwise points, whatever their
 throttle family, and one for fusable points) three or more at a time
-step in a fleet chunk, and narrower groups and blocked points run on the
-scalar engine. Whatever the plan, results and cache keys equal the
-scalar reference's.
+step in a fleet chunk, fusable points riding a stepwise chunk of their
+machine that covers their horizons, and narrower groups and blocked
+points run on the scalar engine. Whatever the plan, results and cache
+keys equal the scalar reference's.
 """
 
 import dataclasses
@@ -67,14 +68,72 @@ class TestPlan:
             (list(range(12)), "lockstep")
         ]
 
-    def test_unthrottled_points_group_apart_from_stepwise_ones(self):
-        """Fusable points form their own group: one beside three
-        stepwise points is a narrow group of one."""
-        points = [RunPoint(W7, None, CFG)] + mixed_points()[:3]
-        assert ParallelRunner()._plan(points) == [
+    def test_unthrottled_points_ride_wide_stepwise_chunks_only(self):
+        """A fusable point rides its machine's stepwise chunk when that
+        chunk is three wide and covers its horizon; beside a narrow pair,
+        or longer than every stepwise point, it stays apart."""
+        unthrottled = RunPoint(W7, None, CFG)
+        points = [unthrottled] + mixed_points()[:3]
+        assert ParallelRunner()._plan(points) == [([0, 1, 2, 3], "lockstep")]
+        assert ParallelRunner()._plan([unthrottled] + dvfs_points(2)) == [
+            ([0], "narrow"),
+            ([1], "narrow"),
+            ([2], "narrow"),
+        ]
+        longer = RunPoint(W7, None, replace(CFG, duration_s=0.003))
+        assert ParallelRunner()._plan([longer] + mixed_points()[:3]) == [
             ([1, 2, 3], "lockstep"),
             ([0], "narrow"),
         ]
+
+    def test_riders_take_a_covering_chunk_under_jobs_2(self):
+        """Six DVFS points split into a short and a long chunk of three;
+        the long unthrottled point fits only the long chunk, the short
+        one takes the less loaded one. Results equal the pool's."""
+        short, long = CFG, replace(CFG, duration_s=0.003)
+        points = [
+            RunPoint(W7, DVFS, replace(cfg, threshold_c=80.0 + i))
+            for cfg in (short, long)
+            for i in range(3)
+        ] + [RunPoint(W7, None, long), RunPoint(W7, None, short)]
+        runner = ParallelRunner(jobs=2)
+        assert runner._plan(points) == [
+            ([0, 1, 2, 7], "lockstep"),
+            ([3, 4, 5, 6], "lockstep"),
+        ]
+        pool = ParallelRunner(backend="pool").run_points(points)
+        assert as_dicts(runner.run_points(points)) == as_dicts(pool)
+        assert runner.stats.fleet == len(points)
+        # At equal horizons the riders spread over both chunks.
+        points = dvfs_points(6) + [RunPoint(W7, None, CFG)] * 2
+        assert runner._plan(points) == [
+            ([0, 1, 2, 6], "lockstep"),
+            ([3, 4, 5, 7], "lockstep"),
+        ]
+
+    def test_riders_respect_fleet_chunk(self):
+        """A chunk already at the ``fleet_chunk`` cap seats no rider."""
+        points = [RunPoint(W7, None, CFG)] + dvfs_points(3)
+        assert ParallelRunner(fleet_chunk=3)._plan(points) == [
+            ([1, 2, 3], "lockstep"),
+            ([0], "narrow"),
+        ]
+
+    def test_riders_count_as_fleet_points_with_the_group_width(self):
+        """A rider is a ``fleet``/``lockstep`` point in the stats, the
+        path counter and its span, tagged with its group's width."""
+        points = [RunPoint(W7, None, CFG)] + mixed_points()[:3]
+        registry = MetricsRegistry()
+        tracer = SpanRecorder()
+        runner = ParallelRunner(registry=registry, tracer=tracer)
+        runner.run_points(points)
+        assert (runner.stats.fleet, runner.stats.scalar) == (4, 0)
+        assert registry.counter(
+            "runner_points_total", path="fleet", reason="lockstep"
+        ).value == 4
+        spans = [s for s in tracer.spans() if s.kind == KIND_POINT]
+        assert [s.attrs["path"] for s in spans] == ["fleet"] * 4
+        assert [s.attrs["group_width"] for s in spans] == [4] * 4
 
     def test_width_counts_member_steps_over_the_longest_horizon(self):
         """Three points whose two short ones retire early are narrow;
