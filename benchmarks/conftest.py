@@ -1,12 +1,16 @@
 """Shared benchmark configuration.
 
-Every benchmark regenerates one table or figure of the paper. The
-simulation horizon defaults to the paper's 0.5 s of silicon time; set
-``REPRO_BENCH_DURATION`` (seconds) to trade fidelity for speed. Results
-are cached across benchmarks within a session (the tables are views over
-one policy x workload grid), and each benchmark writes its rendered
-output under ``results/`` for side-by-side comparison with the paper —
-EXPERIMENTS.md is assembled from those files.
+Every benchmark regenerates one table or figure of the paper and runs
+its shape assertions. The simulation horizon defaults to the paper's
+0.5 s of silicon time; set ``REPRO_BENCH_DURATION`` (seconds) to trade
+fidelity for speed. Results are cached across benchmarks within a
+session (the tables are views over one policy x workload grid).
+
+At the committed 0.5 s horizon each benchmark checks its rendered output
+byte for byte against ``results/<name>.txt`` and fails on any
+difference; a missing file is written, which is how ``results/`` is
+regenerated (delete the file, rerun). At any other horizon nothing is
+written under ``results/``. EXPERIMENTS.md quotes those files.
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ from repro.experiments.common import default_config
 
 #: Where rendered tables/figures are written.
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
+
+#: The horizon the committed ``results/`` files were rendered at.
+COMMITTED_DURATION_S = 0.5
 
 
 def bench_duration() -> float:
@@ -41,7 +48,17 @@ def results_dir() -> pathlib.Path:
 
 
 def save_result(results_dir: pathlib.Path, name: str, text: str) -> None:
-    """Persist one rendered experiment and echo it to the test log."""
+    """Check one rendered experiment against ``results/<name>.txt``.
+
+    Writes the file only when it is missing; fails when it differs from
+    ``text``. Off the committed horizon, only echoes ``text``.
+    """
+    print(f"\n{text}")
+    if bench_duration() != COMMITTED_DURATION_S:
+        return
     path = results_dir / f"{name}.txt"
-    path.write_text(text + "\n", encoding="utf-8")
-    print(f"\n{text}\n[saved to {path}]")
+    if not path.exists():
+        path.write_bytes((text + "\n").encode("utf-8"))
+        print(f"[saved to {path}]")
+    committed = path.read_bytes().decode("utf-8")
+    assert committed == text + "\n", f"{path} differs from the regenerated output"

@@ -8,28 +8,13 @@ the relative tradeoffs.
 
 from benchmarks.conftest import save_result
 from repro.experiments import ablations
-from repro.experiments.common import default_config
-
-
-def _compute_all(config):
-    return {
-        "threshold": ablations.threshold_sweep(config=config),
-        "sensors": ablations.sensor_fidelity_sweep(config=config),
-        "sensor_bias": ablations.sensor_bias_sweep(config=config),
-        "pi_gains": ablations.pi_gain_sweep(config=config),
-        "migration_period": ablations.migration_period_sweep(config=config),
-    }
 
 
 def test_ablations(benchmark, config, results_dir):
     sweeps = benchmark.pedantic(
-        _compute_all, args=(config,), rounds=1, iterations=1
+        ablations.compute, args=(config,), rounds=1, iterations=1
     )
-    text = "\n\n".join(
-        ablations.render(points, f"Ablation: {name}")
-        for name, points in sweeps.items()
-    )
-    save_result(results_dir, "ablations", text)
+    save_result(results_dir, "ablations", ablations.render(sweeps))
 
     # Threshold: duty rises with the limit, ordering preserved.
     by_label = {p.label: p for p in sweeps["threshold"]}

@@ -10,33 +10,14 @@ migration cannot.
 
 from benchmarks.conftest import save_result
 from repro.experiments import extensions
-from repro.experiments.common import default_config
-
-
-def _compute(config):
-    return (
-        extensions.placement_sensitivity(config),
-        extensions.asymmetric_migration_study(config),
-        extensions.smt_study(config),
-    )
 
 
 def test_extensions_asymmetric_cores(benchmark, config, results_dir):
-    placement, recovery, smt = benchmark.pedantic(
-        _compute, args=(config,), rounds=1, iterations=1
+    studies = benchmark.pedantic(
+        extensions.compute, args=(config,), rounds=1, iterations=1
     )
-    text = "\n\n".join(
-        [
-            extensions.render(
-                placement, "Extension: asymmetric cores — placement sensitivity"
-            ),
-            extensions.render(
-                recovery, "Extension: asymmetric cores — migration recovery"
-            ),
-            extensions.render(smt, "Extension: SMT vs CMP at equal area"),
-        ]
-    )
-    save_result(results_dir, "extensions_asymmetric", text)
+    save_result(results_dir, "extensions_asymmetric", extensions.render(studies))
+    placement, recovery, smt = studies.values()
 
     by_label = {r.label: r for r in placement}
     # Symmetric chip: placement is (near) irrelevant.

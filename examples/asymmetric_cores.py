@@ -34,8 +34,9 @@ def main() -> None:
     )
 
     print("Step 1 — does placement matter?\n")
-    placement = extensions.placement_sensitivity(config)
-    print(extensions.render(placement, "Placement sensitivity (dist. DVFS)"))
+    studies = extensions.compute(config)
+    placement = studies[extensions.PLACEMENT]
+    print(extensions.render({"Placement sensitivity (dist. DVFS)": placement}))
     by = {r.label: r for r in placement}
     gap = (
         by["asymmetric, hot on BIG cores"].bips
@@ -48,8 +49,8 @@ def main() -> None:
     )
 
     print("Step 2 — can the OS fix a bad placement?\n")
-    recovery = extensions.asymmetric_migration_study(config)
-    print(extensions.render(recovery, "Migration recovery from bad placement"))
+    recovery = studies[extensions.RECOVERY]
+    print(extensions.render({"Migration recovery from bad placement": recovery}))
     rec = {r.label: r for r in recovery}
     print(
         "\nSensor-based migration recovers "

@@ -581,21 +581,14 @@ def _cmd_experiment(args) -> int:
     import importlib
 
     module = importlib.import_module(f"repro.experiments.{args.name}")
-    if args.duration is not None:
-        from repro.experiments.common import default_config
-
-        config = default_config(duration_s=args.duration)
-        if args.name in ("ablations", "extensions"):
-            # These expose multiple studies; main() handles its own config,
-            # so fall through with a note.
-            print(f"(duration override ignored for {args.name}; using module default)")
-            module.main()
-        elif args.name == "table1":
-            print(module.render(module.compute()))
-        else:
-            print(module.render(module.compute(config)))
+    if args.duration is None or args.name == "table1":
+        # Table 1 runs its own 900 s mobile protocol at any -d.
+        module.main()
         return 0
-    module.main()
+    from repro.experiments.common import default_config
+
+    config = default_config(duration_s=args.duration)
+    print(module.render(module.compute(config)))
     return 0
 
 

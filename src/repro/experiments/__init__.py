@@ -2,9 +2,11 @@
 
 Every module exposes ``compute(...)`` returning structured rows and
 ``render(...)`` producing a paper-style plain-text table, so benchmark
-output can be compared against the publication side by side. Runs are
-cached per (workload, policy, configuration) in :mod:`repro.experiments.
-common` — the tables share the same underlying 12x12 grid of simulations.
+output can be compared against the publication side by side. ``compute``
+declares every simulation point up front and runs them as one batch
+through :func:`~repro.experiments.common.run_cells`, which caches runs per
+(workload, policy, configuration) — the tables share the same underlying
+12x12 grid of simulations.
 
 Experiment index (see DESIGN.md for the full mapping):
 
@@ -18,13 +20,15 @@ Experiment index (see DESIGN.md for the full mapping):
 * :mod:`repro.experiments.figure7` — per-workload migration deltas;
 * :mod:`repro.experiments.table8` — the full 12-policy summary grid;
 * :mod:`repro.experiments.ablations` — threshold, sensor-fidelity,
-  PI-gain, and migration-period sensitivity studies.
+  sensor-bias, PI-gain, and migration-period sensitivity studies;
+* :mod:`repro.experiments.extensions` — asymmetric-core and SMT studies.
 """
 
 from repro.experiments.common import (
     average_metrics,
     clear_result_cache,
     default_config,
+    run_cells,
     run_matrix,
 )
 
@@ -32,5 +36,6 @@ __all__ = [
     "average_metrics",
     "clear_result_cache",
     "default_config",
+    "run_cells",
     "run_matrix",
 ]

@@ -1,10 +1,13 @@
 """Shared machinery for the experiment modules.
 
-All of the paper's main tables and figures are views over the same grid
-of simulations: 12 workloads x 12 policies. :func:`run_matrix` executes
-and caches those runs so that computing Table 5, Table 6, Table 7,
-Figure 3, Figure 7 and Table 8 in one session costs one pass over the
-grid.
+Every experiment driver declares its simulation points up front and runs
+them as one batch through :func:`run_cells`. The paper's main tables and
+figures are views over one grid of 12 workloads x 12 policies;
+:func:`run_matrix` is that grid over :func:`run_cells`, so computing
+Table 5, Table 6, Table 7, Figure 3, Figure 7 and Table 8 in one session
+costs one pass over the grid. Points that a
+:class:`~repro.sim.runner.RunPoint` cannot describe go through the
+runner's :meth:`~repro.sim.runner.ParallelRunner.map_cached` instead.
 
 Two cache layers cooperate:
 
@@ -21,9 +24,9 @@ Two cache layers cooperate:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.taxonomy import BASELINE_SPEC, PolicySpec
+from repro.core.taxonomy import PolicySpec
 from repro.obs.logconfig import get_logger
 from repro.sim.engine import SimulationConfig
 from repro.sim.results import RunResult
@@ -57,23 +60,17 @@ def default_config(duration_s: float = 0.5, **overrides) -> SimulationConfig:
     return SimulationConfig(duration_s=duration_s, **overrides)
 
 
-def _config_key(config: SimulationConfig) -> Tuple:
-    """Cache key covering EVERY configuration field.
+def _memory_key(point: RunPoint) -> Tuple:
+    """In-memory cache key; the frozen workload itself, not its name, so
+    two mixes that share a name never alias.
 
     ``SimulationConfig`` is a frozen dataclass of frozen dataclasses, so
     the instance itself is hashable and equality-complete — using it
     directly makes it impossible for a newly added field to silently
     alias two different configurations in the cache.
     """
-    return (config,)
-
-
-def _memory_key(
-    workload: Workload, spec: Optional[PolicySpec], config: SimulationConfig
-) -> Tuple:
-    """In-memory cache key; the frozen workload itself, not its name, so
-    two mixes that share a name never alias."""
-    return (workload, spec.key if spec else "unthrottled", _config_key(config))
+    spec = point.spec
+    return (point.workload, spec.key if spec else "unthrottled", point.config)
 
 
 def clear_result_cache() -> int:
@@ -87,14 +84,28 @@ def clear_result_cache() -> int:
     return n
 
 
-def run_cached(
-    workload: Workload, spec: Optional[PolicySpec], config: SimulationConfig
-) -> RunResult:
-    """Run (or fetch) one (workload, policy) simulation."""
-    key = _memory_key(workload, spec, config)
-    if key not in _CACHE:
-        _CACHE[key] = _RUNNER.run_workload(workload, spec, config)
-    return _CACHE[key]
+def run_cells(points: Sequence[RunPoint]) -> List[RunResult]:
+    """Run (or fetch) every point; results align with ``points``.
+
+    Points missing from the in-memory cache are submitted to the default
+    runner as one flat batch (each distinct point once), so the runner's
+    plan sees the whole remainder at once instead of point by point.
+    """
+    keys = [_memory_key(p) for p in points]
+    missing: Dict[Tuple, RunPoint] = {}
+    for key, point in zip(keys, points):
+        if key not in _CACHE:
+            missing.setdefault(key, point)
+    if missing:
+        logger.info(
+            "run_cells: %d of %d points missing from the in-memory cache; "
+            "submitting to the runner",
+            len(missing),
+            len(points),
+        )
+        results = _RUNNER.run_points(list(missing.values()))
+        _CACHE.update(zip(missing, results))
+    return [_CACHE[key] for key in keys]
 
 
 def run_matrix(
@@ -102,39 +113,22 @@ def run_matrix(
     workloads: Optional[Sequence[Workload]] = None,
     config: Optional[SimulationConfig] = None,
 ) -> Dict[str, Dict[str, RunResult]]:
-    """Run a policy x workload grid.
+    """Run a policy x workload grid through :func:`run_cells`.
 
     Returns ``{spec_key: {workload_name: RunResult}}``; ``None`` in
-    ``specs`` denotes the unthrottled reference run. Grid cells missing
-    from the in-memory cache are submitted to the default runner as one
-    flat batch, so a parallel runner fans the whole remainder out at
-    once instead of cell by cell.
+    ``specs`` denotes the unthrottled reference run.
     """
     workloads = list(workloads) if workloads is not None else list(ALL_WORKLOADS)
     config = config or default_config()
-    cells = [(spec, w) for spec in specs for w in workloads]
-    missing = [
-        (spec, w)
-        for spec, w in cells
-        if _memory_key(w, spec, config) not in _CACHE
-    ]
-    if missing:
-        logger.info(
-            "run_matrix: %d of %d grid cells missing from the in-memory "
-            "cache; submitting to the runner",
-            len(missing),
-            len(cells),
-        )
-        points = [RunPoint(w, spec, config) for spec, w in missing]
-        for (spec, w), result in zip(missing, _RUNNER.run_points(points)):
-            _CACHE[_memory_key(w, spec, config)] = result
-    out: Dict[str, Dict[str, RunResult]] = {}
-    for spec in specs:
-        key = spec.key if spec else "unthrottled"
-        out[key] = {
-            w.name: _CACHE[_memory_key(w, spec, config)] for w in workloads
+    results = iter(
+        run_cells([RunPoint(w, spec, config) for spec in specs for w in workloads])
+    )
+    return {
+        spec.key if spec else "unthrottled": {
+            w.name: next(results) for w in workloads
         }
-    return out
+        for spec in specs
+    }
 
 
 @dataclass(frozen=True)
@@ -173,11 +167,3 @@ def average_metrics(
         emergency_s=sum(results[w].emergency_s for w in names) / n,
         migrations=sum(results[w].migrations for w in names) / n,
     )
-
-
-def baseline_results(
-    workloads: Optional[Sequence[Workload]] = None,
-    config: Optional[SimulationConfig] = None,
-) -> Dict[str, RunResult]:
-    """Distributed stop-go (the paper's baseline) across the workloads."""
-    return run_matrix([BASELINE_SPEC], workloads, config)[BASELINE_SPEC.key]

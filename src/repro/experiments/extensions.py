@@ -7,7 +7,7 @@ microarchitecture (identical traces and power) but occupy different
 silicon areas, so a big core runs a given thread at lower power density —
 and therefore cooler — than a small one.
 
-Two questions, each answered by a function:
+Three questions, each answered by a function:
 
 * :func:`placement_sensitivity` — with *no* migration, how much does it
   matter whether the hot threads start on the big cores or the small
@@ -17,17 +17,31 @@ Two questions, each answered by a function:
   case: its thread-core thermal table learns per-core biases, which on an
   asymmetric chip are large and real (counter-based intensity is
   core-blind by construction).
+* :func:`smt_study` — the SMT axis: four threads on four cores against
+  merged pairs on two cores of the same total area.
+
+:func:`compute` declares the rows of all three up front and runs them as
+one batch; each function above is a view of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.taxonomy import MigrationKind, PolicySpec, Scope, ThrottleKind
-from repro.experiments.common import default_config
-from repro.sim.engine import SimulationConfig, run_workload
+from repro.experiments.common import (
+    default_config,
+    get_default_runner,
+    run_cells,
+)
+from repro.sim.engine import SimulationConfig, ThermalTimingSimulator
+from repro.sim.results import RunResult
+from repro.sim.runner import RunPoint
 from repro.sim.workloads import Workload
+from repro.uarch.benchmarks import get_benchmark
+from repro.uarch.config import MachineConfig
+from repro.uarch.smt import merge_profiles
 from repro.util.tables import render_table
 
 #: Big-big-small-small configuration with the same total core area as
@@ -41,6 +55,26 @@ _DDV = PolicySpec(ThrottleKind.DVFS, Scope.DISTRIBUTED, MigrationKind.NONE)
 _DDV_SENSOR = PolicySpec(ThrottleKind.DVFS, Scope.DISTRIBUTED, MigrationKind.SENSOR)
 _DDV_COUNTER = PolicySpec(ThrottleKind.DVFS, Scope.DISTRIBUTED, MigrationKind.COUNTER)
 
+#: The hot threads on the small cores (2/3) instead of the big ones.
+BAD_PLACEMENT: Tuple[str, ...] = (
+    STUDY_BENCHMARKS[2], STUDY_BENCHMARKS[3],
+    STUDY_BENCHMARKS[0], STUDY_BENCHMARKS[1],
+)
+
+#: SMT-2 chip: two cores holding the same total area as four 4 mm cores.
+SMT_CORE_SIZES: Tuple[float, ...] = (5.657, 5.657)
+
+#: The two SMT pairings: each hot thread with a cool one, and hot+hot.
+SMT_PAIRINGS: Tuple[Tuple[str, Tuple[Tuple[str, str], ...]], ...] = (
+    ("SMT-2, complementary pairs", (("gzip", "swim"), ("sixtrack", "mcf"))),
+    ("SMT-2, aligned pairs (hot+hot)", (("gzip", "sixtrack"), ("mcf", "swim"))),
+)
+
+#: The studies :func:`compute` returns, in render order.
+PLACEMENT = "asymmetric cores — placement sensitivity"
+RECOVERY = "asymmetric cores — migration recovery"
+SMT = "SMT vs CMP at equal area"
+
 
 @dataclass(frozen=True)
 class ExtensionRow:
@@ -53,17 +87,69 @@ class ExtensionRow:
     max_temp_c: float
 
 
-def _run(benchmarks: Sequence[str], spec, config: SimulationConfig,
-         label: str) -> ExtensionRow:
-    workload = Workload("asym-study", tuple(benchmarks))
-    result = run_workload(workload, spec, config)
-    return ExtensionRow(
-        label=label,
-        bips=result.bips,
-        duty_cycle=result.duty_cycle,
-        migrations=result.migrations,
-        max_temp_c=result.max_temp_c,
+def _row(label: str, r: RunResult) -> ExtensionRow:
+    return ExtensionRow(label, r.bips, r.duty_cycle, r.migrations, r.max_temp_c)
+
+
+def _smt_point(
+    payload: Tuple[Tuple[Tuple[str, str], ...], SimulationConfig],
+) -> RunResult:
+    """One SMT row: merged benchmark pairs on the 2-core SMT chip.
+
+    Built directly on the simulator: the merged profiles are not named
+    benchmarks, so no :class:`~repro.sim.workloads.Workload` names them.
+    """
+    pairs, config = payload
+    profiles = [
+        merge_profiles(get_benchmark(a), get_benchmark(b)) for a, b in pairs
+    ]
+    smt_config = replace(
+        config, machine=MachineConfig(n_cores=2), core_sizes_mm=SMT_CORE_SIZES
     )
+    return ThermalTimingSimulator(profiles, _DDV, smt_config).run()
+
+
+def compute(
+    config: Optional[SimulationConfig] = None,
+) -> Dict[str, List[ExtensionRow]]:
+    """Every study: ``{study name: rows}``.
+
+    The asymmetric-core rows and the CMP-4 row run as one batch; the SMT
+    rows run through the runner's
+    :meth:`~repro.sim.runner.ParallelRunner.map_cached`.
+    """
+    config = config or default_config()
+    asym = replace(config, core_sizes_mm=ASYMMETRIC_SIZES)
+    good, bad = STUDY_BENCHMARKS, BAD_PLACEMENT
+    declared = {
+        PLACEMENT: [
+            ("symmetric, hot on cores 0/1", good, _DDV, config),
+            ("symmetric, hot on cores 2/3", bad, _DDV, config),
+            ("asymmetric, hot on BIG cores", good, _DDV, asym),
+            ("asymmetric, hot on SMALL cores", bad, _DDV, asym),
+        ],
+        RECOVERY: [
+            ("no migration", bad, _DDV, asym),
+            ("counter-based migration", bad, _DDV_COUNTER, asym),
+            ("sensor-based migration", bad, _DDV_SENSOR, asym),
+        ],
+        SMT: [("CMP-4: one thread per core", good, _DDV, config)],
+    }
+    results = iter(run_cells([
+        RunPoint(Workload("asym-study", benchmarks), spec, cfg)
+        for rows in declared.values()
+        for _label, benchmarks, spec, cfg in rows
+    ]))
+    data = {
+        name: [_row(label, next(results)) for label, *_ in rows]
+        for name, rows in declared.items()
+    }
+    smt = get_default_runner().map_cached(
+        "extensions.smt", _smt_point,
+        [(pairs, config) for _label, pairs in SMT_PAIRINGS],
+    )
+    data[SMT] += [_row(label, r) for (label, _), r in zip(SMT_PAIRINGS, smt)]
+    return data
 
 
 def placement_sensitivity(
@@ -75,19 +161,7 @@ def placement_sensitivity(
     (up to edge effects); on the asymmetric chip the good placement runs
     the hot threads at lower density and wins.
     """
-    config = config or default_config(duration_s=0.2)
-    asym = replace(config, core_sizes_mm=ASYMMETRIC_SIZES)
-    good = STUDY_BENCHMARKS  # hot programs on cores 0/1 (the big ones)
-    bad = (
-        STUDY_BENCHMARKS[2], STUDY_BENCHMARKS[3],
-        STUDY_BENCHMARKS[0], STUDY_BENCHMARKS[1],
-    )
-    return [
-        _run(good, _DDV, config, "symmetric, hot on cores 0/1"),
-        _run(bad, _DDV, config, "symmetric, hot on cores 2/3"),
-        _run(good, _DDV, asym, "asymmetric, hot on BIG cores"),
-        _run(bad, _DDV, asym, "asymmetric, hot on SMALL cores"),
-    ]
+    return compute(config)[PLACEMENT]
 
 
 def asymmetric_migration_study(
@@ -98,21 +172,7 @@ def asymmetric_migration_study(
     All rows start from the *bad* placement (hot threads on the small
     cores) on the asymmetric chip.
     """
-    config = config or default_config(duration_s=0.2)
-    asym = replace(config, core_sizes_mm=ASYMMETRIC_SIZES)
-    bad = (
-        STUDY_BENCHMARKS[2], STUDY_BENCHMARKS[3],
-        STUDY_BENCHMARKS[0], STUDY_BENCHMARKS[1],
-    )
-    return [
-        _run(bad, _DDV, asym, "no migration"),
-        _run(bad, _DDV_COUNTER, asym, "counter-based migration"),
-        _run(bad, _DDV_SENSOR, asym, "sensor-based migration"),
-    ]
-
-
-#: SMT-2 chip: two cores holding the same total area as four 4 mm cores.
-SMT_CORE_SIZES: Tuple[float, ...] = (5.657, 5.657)
+    return compute(config)[RECOVERY]
 
 
 def smt_study(
@@ -133,77 +193,28 @@ def smt_study(
     an int+fp pair stresses both register files of one core at once,
     leaving no cool unit for the DTM policies to exploit.
     """
-    from dataclasses import replace as dc_replace
+    return compute(config)[SMT]
 
-    from repro.sim.engine import ThermalTimingSimulator
-    from repro.uarch.benchmarks import get_benchmark
-    from repro.uarch.config import MachineConfig
-    from repro.uarch.smt import merge_profiles
 
-    config = config or default_config(duration_s=0.2)
-    rows = [
-        _run(STUDY_BENCHMARKS, _DDV, config, "CMP-4: one thread per core")
-    ]
-
-    smt_machine = MachineConfig(n_cores=2)
-    smt_config = dc_replace(
-        config, machine=smt_machine, core_sizes_mm=SMT_CORE_SIZES
-    )
-    gzip, sixtrack, mcf, swim = (
-        get_benchmark(n) for n in STUDY_BENCHMARKS
-    )
-    pairings = [
-        ("SMT-2, complementary pairs",
-         [merge_profiles(gzip, swim), merge_profiles(sixtrack, mcf)]),
-        ("SMT-2, aligned pairs (hot+hot)",
-         [merge_profiles(gzip, sixtrack), merge_profiles(mcf, swim)]),
-    ]
-    for label, profiles in pairings:
-        sim = ThermalTimingSimulator(profiles, _DDV, smt_config)
-        result = sim.run()
-        rows.append(
-            ExtensionRow(
-                label=label,
-                bips=result.bips,
-                duty_cycle=result.duty_cycle,
-                migrations=result.migrations,
-                max_temp_c=result.max_temp_c,
-            )
+def render(data: Dict[str, Sequence[ExtensionRow]]) -> str:
+    """One table per study, titled ``Extension: <study name>``."""
+    return "\n\n".join(
+        render_table(
+            ["configuration", "BIPS", "duty cycle", "migrations", "max T (C)"],
+            [
+                [r.label, f"{r.bips:.2f}", f"{r.duty_cycle:.2%}",
+                 str(r.migrations), f"{r.max_temp_c:.1f}"]
+                for r in rows
+            ],
+            title=f"Extension: {name}",
         )
-    return rows
-
-
-def render(rows: Sequence[ExtensionRow], title: str) -> str:
-    """Render one study as a table."""
-    return render_table(
-        ["configuration", "BIPS", "duty cycle", "migrations", "max T (C)"],
-        [
-            [r.label, f"{r.bips:.2f}", f"{r.duty_cycle:.2%}",
-             str(r.migrations), f"{r.max_temp_c:.1f}"]
-            for r in rows
-        ],
-        title=title,
+        for name, rows in data.items()
     )
 
 
 def main() -> str:
-    """Run both studies at a reduced horizon and print them."""
-    config = default_config(duration_s=0.2)
-    parts = [
-        render(
-            placement_sensitivity(config),
-            "Extension: asymmetric cores — placement sensitivity",
-        ),
-        render(
-            asymmetric_migration_study(config),
-            "Extension: asymmetric cores — migration recovery",
-        ),
-        render(
-            smt_study(config),
-            "Extension: SMT vs CMP at equal area",
-        ),
-    ]
-    text = "\n\n".join(parts)
+    """Compute and print every study."""
+    text = render(compute())
     print(text)
     return text
 

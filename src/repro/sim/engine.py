@@ -492,36 +492,6 @@ class ThermalTimingSimulator:
         """
         return RngStream(self.config.seed, "sensors", *self.benchmarks)
 
-    def _read_sensors(self, t: float = 0.0) -> List[Dict[str, float]]:
-        """Per-core hotspot sensor readings (optionally degraded)."""
-        temps = self.thermal.temperatures[self._hotspot_idx]  # (n_cores, 2)
-        noise = self.config.sensor_noise_std_c
-        quant = self.config.sensor_quantization_c
-        if self.config.sensor_offset_c:
-            temps = temps + self.config.sensor_offset_c
-        if noise > 0:
-            # Exactly one normal((n_cores, 2)) draw per sensor read.
-            # The fleet engine replays this stream per member — same
-            # draw shape at the same steps — so batched noisy runs stay
-            # bit-identical to scalar ones; changing the draw shape or
-            # frequency here breaks that replay contract (and the
-            # fleet equivalence tests).
-            temps = temps + self._sensor_rng.normal(0.0, noise, temps.shape)
-        if quant > 0:
-            # Explicit round-half-up-to-grid (x.5 boundaries snap toward
-            # +inf), the same rule SensorBank documents — not np.round's
-            # round-half-even.
-            temps = np.floor(temps / quant + 0.5) * quant
-        if self._faults is not None:
-            # Dynamic faults apply after the static degradation pipeline:
-            # a stuck or dropped channel latches the *reported* (already
-            # offset/noisy/quantized) value, as real readout paths do.
-            temps = self._faults.apply_sensor_faults(t, temps)
-        return [
-            {unit: float(temps[c, k]) for k, unit in enumerate(HOTSPOT_UNITS)}
-            for c in range(self.n_cores)
-        ]
-
     def _warm_power(self, frac: float) -> np.ndarray:
         """Block power vector at a uniform fraction of trace-mean power."""
         p = np.zeros(self.thermal.network.n_blocks)
@@ -702,11 +672,7 @@ class ThermalTimingSimulator:
         offset = cfg.sensor_offset_c
         noise = cfg.sensor_noise_std_c
         quant = cfg.sensor_quantization_c
-        units = HOTSPOT_UNITS
-        two_units = len(units) == 2
-        u0 = u1 = None
-        if two_units:
-            u0, u1 = units
+        u0, u1 = HOTSPOT_UNITS
 
         # Reusable profiler section handles (no-ops when unprofiled).
         sec_sensors = prof.section("sensors")
@@ -746,6 +712,9 @@ class ThermalTimingSimulator:
                     if offset:
                         temps = temps + offset
                     if noise > 0:
+                        # One normal((n_cores, 2)) draw per sensor read:
+                        # the fleet replays this stream per member, so
+                        # the draw shape and cadence are a contract.
                         temps = temps + self._sensor_rng.normal(
                             0.0, noise, temps.shape
                         )
@@ -761,19 +730,11 @@ class ThermalTimingSimulator:
                         # value, as real readout paths do.
                         temps = faults.apply_sensor_faults(t, temps)
                     if need_dicts:
-                        if two_units:
-                            readings = [
-                                {u0: r[0], u1: r[1]} for r in temps.tolist()
-                            ]
-                        else:
-                            readings = [
-                                dict(zip(units, row)) for row in temps.tolist()
-                            ]
+                        readings = [
+                            {u0: r[0], u1: r[1]} for r in temps.tolist()
+                        ]
                     elif policy_fast:
-                        if two_units:
-                            hot = [max(r[0], r[1]) for r in temps.tolist()]
-                        else:
-                            hot = [max(row) for row in temps.tolist()]
+                        hot = [max(r[0], r[1]) for r in temps.tolist()]
 
             # Sensor-sanity watchdog: sees exactly what the policies see.
             if guards is not None:
@@ -793,14 +754,9 @@ class ThermalTimingSimulator:
                         # The tick's migration trigger wants full dicts;
                         # build them for this step only (same values the
                         # hot list was reduced from).
-                        if two_units:
-                            readings = [
-                                {u0: r[0], u1: r[1]} for r in temps.tolist()
-                            ]
-                        else:
-                            readings = [
-                                dict(zip(units, row)) for row in temps.tolist()
-                            ]
+                        readings = [
+                            {u0: r[0], u1: r[1]} for r in temps.tolist()
+                        ]
                     self._os_tick(t, readings)
                 procs = [process_on(c) for c in core_range]
                 core_aux = [trace_aux[p.pid] for p in procs]

@@ -93,6 +93,6 @@ class TestRender:
         points = ablations.migration_period_sweep(
             periods_s=(10e-3,), config=CFG, workloads=WORKLOADS
         )
-        text = ablations.render(points, "Ablation: demo")
+        text = ablations.render({"demo": points})
         assert "Ablation: demo" in text
         assert "period 10 ms" in text

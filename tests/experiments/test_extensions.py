@@ -62,7 +62,7 @@ class TestStudies:
 
     def test_render(self):
         rows = extensions.asymmetric_migration_study(CFG)
-        text = extensions.render(rows, "Extension: demo")
+        text = extensions.render({"demo": rows})
         assert "Extension: demo" in text
         assert "sensor-based migration" in text
 

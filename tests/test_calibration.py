@@ -11,7 +11,8 @@ benchmark harness and recorded in EXPERIMENTS.md.
 import pytest
 
 from repro.core.taxonomy import spec_by_key
-from repro.experiments.common import default_config, run_cached
+from repro.experiments.common import default_config, run_cells
+from repro.sim.runner import RunPoint
 from repro.sim.workloads import ALL_WORKLOADS
 
 CFG = default_config(duration_s=0.15)
@@ -21,7 +22,7 @@ WORKLOADS = [w for w in ALL_WORKLOADS if w.name in WORKLOAD_NAMES]
 
 
 def avg(key):
-    results = [run_cached(w, spec_by_key(key), CFG) for w in WORKLOADS]
+    results = run_cells([RunPoint(w, spec_by_key(key), CFG) for w in WORKLOADS])
     n = len(results)
     bips = sum(r.bips for r in results) / n
     duty = sum(r.duty_cycle for r in results) / n
@@ -97,8 +98,10 @@ class TestDutyCyclePredictsThroughput:
         """The paper validated the duty metric: achieved BIPS relative to
         the uncontrolled case is predicted by the measured duty cycle."""
         for w in WORKLOADS[:3]:
-            controlled = run_cached(w, spec_by_key("distributed-dvfs-none"), CFG)
-            free = run_cached(w, None, CFG)
+            controlled, free = run_cells([
+                RunPoint(w, spec_by_key("distributed-dvfs-none"), CFG),
+                RunPoint(w, None, CFG),
+            ])
             predicted = controlled.duty_cycle
             actual = controlled.bips / free.bips
             assert actual == pytest.approx(predicted, abs=0.08)

@@ -90,6 +90,18 @@ class TestExperiment:
         assert rc == 0
         assert "Table 5" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", ["ablations", "extensions"])
+    def test_multi_study_experiment_honours_the_duration(self, name, capsys):
+        import importlib
+
+        from repro.experiments.common import default_config
+
+        assert main(["experiment", name, "-d", "0.01"]) == 0
+        out = capsys.readouterr().out
+        module = importlib.import_module(f"repro.experiments.{name}")
+        config = default_config(duration_s=0.01)
+        assert out == module.render(module.compute(config)) + "\n"
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "table99"])

@@ -79,10 +79,7 @@ EXPERIMENT_MODULES = (
 def test_experiment_module_contract(module_name):
     """Every experiment module exposes compute/render/main."""
     module = importlib.import_module(module_name)
-    assert callable(getattr(module, "compute", None)) or any(
-        callable(getattr(module, n, None))
-        for n in ("placement_sensitivity", "threshold_sweep")
-    ), module_name
+    assert callable(getattr(module, "compute", None)), module_name
     assert callable(getattr(module, "render", None)), module_name
     assert callable(getattr(module, "main", None)), module_name
 
