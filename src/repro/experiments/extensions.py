@@ -55,12 +55,6 @@ _DDV = PolicySpec(ThrottleKind.DVFS, Scope.DISTRIBUTED, MigrationKind.NONE)
 _DDV_SENSOR = PolicySpec(ThrottleKind.DVFS, Scope.DISTRIBUTED, MigrationKind.SENSOR)
 _DDV_COUNTER = PolicySpec(ThrottleKind.DVFS, Scope.DISTRIBUTED, MigrationKind.COUNTER)
 
-#: The hot threads on the small cores (2/3) instead of the big ones.
-BAD_PLACEMENT: Tuple[str, ...] = (
-    STUDY_BENCHMARKS[2], STUDY_BENCHMARKS[3],
-    STUDY_BENCHMARKS[0], STUDY_BENCHMARKS[1],
-)
-
 #: SMT-2 chip: two cores holding the same total area as four 4 mm cores.
 SMT_CORE_SIZES: Tuple[float, ...] = (5.657, 5.657)
 
@@ -120,7 +114,8 @@ def compute(
     """
     config = config or default_config()
     asym = replace(config, core_sizes_mm=ASYMMETRIC_SIZES)
-    good, bad = STUDY_BENCHMARKS, BAD_PLACEMENT
+    good = STUDY_BENCHMARKS  # hot threads on the big cores 0/1
+    bad = good[2:] + good[:2]  # hot threads on the small cores 2/3
     declared = {
         PLACEMENT: [
             ("symmetric, hot on cores 0/1", good, _DDV, config),
