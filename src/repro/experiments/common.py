@@ -87,15 +87,20 @@ def clear_result_cache() -> int:
 def run_cells(points: Sequence[RunPoint]) -> List[RunResult]:
     """Run (or fetch) every point; results align with ``points``.
 
-    Points missing from the in-memory cache are submitted to the default
-    runner as one flat batch (each distinct point once), so the runner's
-    plan sees the whole remainder at once instead of point by point.
+    Each point costs one in-memory lookup (hashing a key walks its
+    configuration tree, so a hit is not looked up twice). Points missing
+    from the in-memory cache are submitted to the default runner as one
+    flat batch (each distinct point once), so the runner's plan sees the
+    whole remainder at once instead of point by point.
     """
-    keys = [_memory_key(p) for p in points]
-    missing: Dict[Tuple, RunPoint] = {}
-    for key, point in zip(keys, points):
-        if key not in _CACHE:
-            missing.setdefault(key, point)
+    results: List[Optional[RunResult]] = []
+    missing: Dict[Tuple, List[int]] = {}
+    for i, point in enumerate(points):
+        key = _memory_key(point)
+        result = _CACHE.get(key)
+        if result is None:
+            missing.setdefault(key, []).append(i)
+        results.append(result)
     if missing:
         logger.info(
             "run_cells: %d of %d points missing from the in-memory cache; "
@@ -103,9 +108,12 @@ def run_cells(points: Sequence[RunPoint]) -> List[RunResult]:
             len(missing),
             len(points),
         )
-        results = _RUNNER.run_points(list(missing.values()))
-        _CACHE.update(zip(missing, results))
-    return [_CACHE[key] for key in keys]
+        fresh = _RUNNER.run_points([points[idxs[0]] for idxs in missing.values()])
+        for (key, idxs), result in zip(missing.items(), fresh):
+            _CACHE[key] = result
+            for i in idxs:
+                results[i] = result
+    return results  # type: ignore[return-value]
 
 
 def run_matrix(

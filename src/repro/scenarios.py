@@ -13,7 +13,8 @@ worked "add your own core class" example.
 
 Everything here is a frozen dataclass built from tuples, strings and
 numbers only, so scenarios hash into the runner's content-addressed
-cache key via ``canonicalize`` without special cases.
+cache key (:func:`repro.sim.runner.stable_hash`) without special cases,
+and each scenario object is encoded once per process.
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ import dataclasses
 import enum
 import hashlib
 import json
+import math
 import os
 import pickle
 import tempfile
@@ -91,85 +92,143 @@ EVICTION_PRESSURE_WINDOW_S = 60.0
 # ---------------------------------------------------------------------------
 
 
-#: Field names of each dataclass type canonicalized so far, in
-#: declaration order (``dataclasses.fields`` rebuilds this every call).
-_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+#: Most entries :data:`_FRAGMENTS` holds. A 256-point sweep's
+#: configurations and their shared parts (about 280 objects) fit; a
+#: server's per-request configurations (about 2.4 KB an entry) cycle
+#: through without growing memory past about 1.2 MB.
+FRAGMENT_TABLE_SIZE = 512
+
+#: ``id(obj) -> (obj, text)``: the JSON text of each frozen, fully
+#: immutable dataclass instance encoded so far, oldest first. An entry
+#: holds its object, so the id cannot be reused while the entry lives.
+_FRAGMENTS: Dict[int, Tuple[object, str]] = {}
+_FRAGMENTS_LOCK = threading.Lock()
+
+#: Per dataclass type: the text before its fields, each field's
+#: ``["name",`` head with its name, and whether the type is frozen.
+_LAYOUTS: Dict[type, Tuple[str, Tuple[Tuple[str, str], ...], bool]] = {}
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+#: Enum values are written as ``json.dumps`` writes them, uncanonicalized.
+_ENUM_VALUE = json.JSONEncoder(separators=(",", ":"), allow_nan=True)
 
 
-def _field_names(cls: type) -> Tuple[str, ...]:
-    names = _FIELD_NAMES.get(cls)
-    if names is None:
-        names = tuple(f.name for f in dataclasses.fields(cls))
-        _FIELD_NAMES[cls] = names
-    return names
+def _encode_float(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
 
 
-def canonicalize(obj, memo: Optional[Dict[int, tuple]] = None) -> object:
-    """Reduce ``obj`` to a JSON-serializable canonical form.
+def _layout(cls: type) -> Tuple[str, Tuple[Tuple[str, str], ...], bool]:
+    layout = (
+        f'["dc",{_encode_str(cls.__name__)},[',
+        tuple(
+            (f"[{_encode_str(f.name)},", f.name)
+            for f in dataclasses.fields(cls)
+        ),
+        cls.__dataclass_params__.frozen,
+    )
+    _LAYOUTS[cls] = layout
+    return layout
 
-    Dataclasses become ``["dc", <class name>, [[field, value], ...]]``
-    with fields in declaration order, enums become their class and value,
-    dict keys are sorted; floats pass through (``json.dumps`` emits the
-    shortest round-trip ``repr``, which is stable across processes and
-    platforms for IEEE-754 doubles). The class name is part of the form,
-    so two different dataclasses with equal fields do not alias.
 
-    ``memo`` lets a batch of calls share the work on shared sub-objects:
-    each dataclass instance's form is stored under its ``id`` together
-    with the instance itself (so the id cannot be reused while the memo
-    lives) and handed back on the next encounter. Only pass a memo over
-    objects that do not change while it is in use; the forms, and hence
-    every digest, are the same with or without one.
+def _remember(obj, text: str) -> None:
+    """Store ``obj``'s text, dropping the oldest entries past the bound."""
+    with _FRAGMENTS_LOCK:
+        _FRAGMENTS[id(obj)] = (obj, text)
+        while len(_FRAGMENTS) > FRAGMENT_TABLE_SIZE:
+            del _FRAGMENTS[next(iter(_FRAGMENTS))]
+
+
+def _encode(obj) -> Tuple[str, bool]:
+    """``obj``'s canonical JSON text and whether ``obj`` is immutable.
+
+    The canonical form: dataclasses become ``["dc", <class name>,
+    [[field, value], ...]]`` with fields in declaration order, enums
+    ``["enum", <class name>, value]``, tuples and lists arrays, dicts
+    ``[[key, value], ...]`` arrays sorted by key; scalars stay scalars,
+    floats in their shortest round-trip ``repr`` (``NaN``, ``Infinity``
+    and ``-Infinity`` when not finite), strings ASCII-escaped. The class
+    name is part of the form, so two different dataclasses with equal
+    fields do not alias. The text is exactly what ``json.dumps`` with
+    ``separators=(",", ":")`` and ``allow_nan=True`` writes for the form.
+
+    A frozen dataclass whose fields are all immutable (scalars, enums,
+    tuples of those and such dataclasses) is encoded once per process:
+    its text is kept in :data:`_FRAGMENTS` and joined into every later
+    key that contains it. Lists, dicts and non-frozen dataclasses, and
+    anything holding one, are encoded on every call.
     """
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, enum.Enum):
-        return ["enum", type(obj).__name__, obj.value]
     cls = type(obj)
-    if cls in _FIELD_NAMES or (
-        dataclasses.is_dataclass(obj) and not isinstance(obj, type)
-    ):
-        if memo is not None:
-            hit = memo.get(id(obj))
-            if hit is not None:
-                return hit[1]
-        form = [
-            "dc",
-            cls.__name__,
-            [
-                [name, canonicalize(getattr(obj, name), memo)]
-                for name in _field_names(cls)
-            ],
-        ]
-        if memo is not None:
-            memo[id(obj)] = (obj, form)
-        return form
+    layout = _LAYOUTS.get(cls)
+    if layout is None:
+        if obj is None:
+            return "null", True
+        if obj is True:
+            return "true", True
+        if obj is False:
+            return "false", True
+        if isinstance(obj, int):
+            return int.__repr__(obj), True
+        if isinstance(obj, float):
+            return _encode_float(obj), True
+        if isinstance(obj, str):
+            return _encode_str(obj), True
+        if isinstance(obj, enum.Enum):
+            name = _encode_str(cls.__name__)
+            return f'["enum",{name},{_ENUM_VALUE.encode(obj.value)}]', True
+        if not dataclasses.is_dataclass(obj) or isinstance(obj, type):
+            return _encode_container(obj)
+        layout = _layout(cls)
+    head, fields, immutable = layout
+    if immutable:
+        hit = _FRAGMENTS.get(id(obj))
+        if hit is not None and hit[0] is obj:
+            return hit[1], True
+    parts = []
+    for field_head, name in fields:
+        text, fixed = _encode(getattr(obj, name))
+        parts.append(f"{field_head}{text}]")
+        immutable = immutable and fixed
+    text = f'{head}{",".join(parts)}]]'
+    if immutable:
+        _remember(obj, text)
+    return text, immutable
+
+
+def _encode_container(obj) -> Tuple[str, bool]:
+    """:func:`_encode` of a list, tuple or dict."""
     if isinstance(obj, (list, tuple)):
-        return [canonicalize(v, memo) for v in obj]
+        immutable = isinstance(obj, tuple)
+        parts = []
+        for v in obj:
+            text, fixed = _encode(v)
+            parts.append(text)
+            immutable = immutable and fixed
+        return f'[{",".join(parts)}]', immutable
     if isinstance(obj, dict):
-        return [
-            [canonicalize(k, memo), canonicalize(v, memo)]
+        pairs = ",".join(
+            f"[{_encode(k)[0]},{_encode(v)[0]}]"
             for k, v in sorted(obj.items())
-        ]
+        )
+        return f"[{pairs}]", False
     raise TypeError(
         f"cannot canonicalize {type(obj).__name__!r} for hashing: {obj!r}"
     )
 
 
-def stable_hash(*objs, memo: Optional[Dict[int, tuple]] = None) -> str:
-    """SHA-256 hex digest of the canonical form of ``objs``.
+def stable_hash(*objs) -> str:
+    """SHA-256 hex digest of the canonical JSON text of ``objs``.
 
-    Unlike builtin ``hash``, the digest is identical across processes
-    (no ``PYTHONHASHSEED`` dependence) and sessions. ``memo`` is passed
-    to :func:`canonicalize`.
+    The text is the array of each object's canonical form (see
+    :func:`_encode`). Unlike builtin ``hash``, the digest is identical
+    across processes (no ``PYTHONHASHSEED`` dependence) and sessions,
+    and it does not depend on what the process encoded before: a kept
+    fragment is the text its object would get afresh.
     """
-    payload = json.dumps(
-        [canonicalize(o, memo) for o in objs],
-        sort_keys=False,
-        separators=(",", ":"),
-        allow_nan=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    text = f'[{",".join(_encode(o)[0] for o in objs)}]'
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 _CODE_VERSION: Optional[str] = None
@@ -211,20 +270,17 @@ class RunPoint:
         return f"{self.workload.name}/{self.spec.key if self.spec else 'unthrottled'}"
 
 
-def config_hash(
-    point: RunPoint,
-    version: Optional[str] = None,
-    memo: Optional[Dict[int, tuple]] = None,
-) -> str:
+def config_hash(point: RunPoint, version: Optional[str] = None) -> str:
     """The content address of one simulation point.
 
     Covers every field of the configuration tree (machine, package,
     sensor fidelity, seed, ...), the policy spec, the workload's
     benchmark list, the cache format version and the simulator code
     version. Equal points hash equal; changing any single ingredient
-    changes the hash. ``memo`` (see :func:`canonicalize`) shares the
-    canonical forms of sub-objects across the points of one batch and
-    never changes the digest.
+    changes the hash. The digest is a :func:`stable_hash`: the frozen
+    workload, spec and configuration objects (and their parts) are
+    encoded once per process, so keying a point again costs a join of
+    their texts and one SHA-256.
     """
     return stable_hash(
         "run-point",
@@ -233,7 +289,6 @@ def config_hash(
         point.workload,
         point.spec,
         point.config,
-        memo=memo,
     )
 
 
@@ -645,15 +700,17 @@ BACKENDS = ("auto", "pool", "fleet")
 PATH_FLEET = "fleet"
 PATH_SCALAR = "scalar"
 
-#: Reason of a fleet point, and of a scalar point of the pool backend.
-#: Other scalar points carry the fallback reason the plan gave them:
-#: ``"narrow"`` (a lockstep group or chunk narrower than
-#: :data:`~repro.sim.fleet.FLEET_MIN_WIDTH`, see
+#: Reason of a fleet point, of a scalar point of the pool backend and of
+#: a :meth:`ParallelRunner.map_cached` task (its payload function runs
+#: the scalar engine, if any). Other scalar points carry the fallback
+#: reason the plan gave them: ``"narrow"`` (a lockstep group or chunk
+#: narrower than :data:`~repro.sim.fleet.FLEET_MIN_WIDTH`, see
 #: :func:`~repro.sim.fleet.live_width`) or their first
 #: :func:`~repro.sim.fleet.fleet_blockers` entry.
 REASON_LOCKSTEP = "lockstep"
 REASON_POOL_BACKEND = "pool-backend"
 REASON_NARROW = "narrow"
+REASON_TASK = "task"
 
 
 def __getattr__(name: str):
@@ -973,10 +1030,7 @@ class ParallelRunner:
         tracer: SpanRecorder,
     ) -> List[RunResult]:
         """The :meth:`run_points` body; ``trace`` is ``None`` untraced."""
-        # Points of a batch share their machine, package, workload, spec
-        # and fault-plan objects: canonicalize each of those once.
-        memo: Dict[int, tuple] = {}
-        keys = [config_hash(p, self.version, memo) for p in points]
+        keys = [config_hash(p, self.version) for p in points]
         results: List[Optional[RunResult]] = [None] * len(points)
         done = [False] * len(points)
 
@@ -1018,12 +1072,7 @@ class ParallelRunner:
             for i in pending[key]:
                 results[i] = value
                 done[i] = True
-            self.stats.simulated += 1
-            if self._ctr_simulated is not None:
-                self._ctr_simulated.inc()
-            self.stats.count_path(reason)
-            self._count_path(reason)
-            self.stats.elapsed_s += elapsed
+            self._count_simulated(reason, elapsed)
             tracer.extend(spans)
             if self.cache is not None:
                 self.cache.put(key, value)
@@ -1055,14 +1104,13 @@ class ParallelRunner:
         For experiment stages that are not ``(workload, policy, config)``
         shaped (e.g. Table 1's per-benchmark mobile measurements). ``fn``
         must be a module-level (picklable) pure function and each payload
-        must be canonicalizable; keys cover ``task``, the payload and the
-        code version. Results align with ``payloads``.
+        something :func:`stable_hash` encodes; keys cover ``task``, the
+        payload and the code version. Results align with ``payloads``.
+        Each computed payload counts as a scalar point with reason
+        :data:`REASON_TASK`.
         """
-        memo: Dict[int, tuple] = {}
         keys = [
-            stable_hash(
-                "task", CACHE_FORMAT_VERSION, self.version, task, p, memo=memo
-            )
+            stable_hash("task", CACHE_FORMAT_VERSION, self.version, task, p)
             for p in payloads
         ]
         results: List[Optional[object]] = [None] * len(payloads)
@@ -1083,10 +1131,7 @@ class ParallelRunner:
         for i, (value, elapsed) in zip(todo, outputs):
             results[i] = value
             done[i] = True
-            self.stats.simulated += 1
-            if self._ctr_simulated is not None:
-                self._ctr_simulated.inc()
-            self.stats.elapsed_s += elapsed
+            self._count_simulated(REASON_TASK, elapsed)
             if self.cache is not None:
                 self.cache.put(keys[i], value)
         assert all(done)
@@ -1094,10 +1139,18 @@ class ParallelRunner:
 
     # -- execution backends --------------------------------------------------
 
-    def _count_path(self, reason: str) -> None:
-        """Bump ``runner_points_total{path,reason}`` (with a registry)."""
+    def _count_simulated(self, reason: str, elapsed: float) -> None:
+        """Ledger one simulated point: ``stats``, its path and counters.
+
+        With a registry, bumps ``runner_points_simulated_total`` and
+        ``runner_points_total{path,reason}``.
+        """
+        self.stats.simulated += 1
+        self.stats.count_path(reason)
+        self.stats.elapsed_s += elapsed
         if self._registry is None:
             return
+        self._ctr_simulated.inc()
         ctr = self._ctr_paths.get(reason)
         if ctr is None:
             ctr = self._registry.counter(

@@ -17,6 +17,7 @@ from repro.experiments.common import (
     default_config,
     set_default_runner,
 )
+from repro.obs.telemetry import MetricsRegistry
 from repro.sim.engine import ThermalTimingSimulator, run_workload
 from repro.sim.runner import ParallelRunner, ResultCache
 from repro.sim.workloads import Workload, get_workload
@@ -82,10 +83,11 @@ class TestAblations:
         data = ablations.compute(CFG)
         # 18 rows x 3 workloads, less the 3 rows that repeat the
         # calibrated dist-DVFS point: 51 distinct points, of which only
-        # the hardware-trip ones leave the fleet.
+        # the hardware-trip ones leave the fleet; the 5 PI-gain rows are
+        # map_cached tasks.
         assert runner.stats.fleet == 48
-        assert runner.stats.scalar == 3
-        assert runner.stats.fallbacks == {"hardware-trip": 3}
+        assert runner.stats.scalar == 8
+        assert runner.stats.fallbacks == {"hardware-trip": 3, "task": 5}
 
         references = _ablation_references(CFG)
         seen = set()
@@ -184,3 +186,36 @@ def test_second_compute_is_served_from_the_disk_cache(module, n_points, tmp_path
     assert second == first
     assert runner.stats.simulated == n_points
     assert runner.stats.cache_hits == n_points
+
+
+@pytest.mark.parametrize(
+    "module, fallbacks",
+    [
+        (ablations, {"hardware-trip": 3, "task": 5}),
+        (extensions, {"narrow": 2, "task": 2}),
+    ],
+    ids=["ablations", "extensions"],
+)
+def test_every_simulated_point_is_ledgered_by_path(module, fallbacks):
+    """map_cached tasks count as scalar points, so the split adds up."""
+    registry = MetricsRegistry()
+    runner = ParallelRunner(jobs=1, cache=None, registry=registry)
+    clear_result_cache()
+    previous = set_default_runner(runner)
+    try:
+        module.compute(default_config(duration_s=0.01))
+    finally:
+        set_default_runner(previous)
+        clear_result_cache()
+    stats = runner.stats
+    assert stats.simulated == stats.fleet + stats.scalar
+    assert stats.fallbacks == fallbacks
+    assert stats.scalar == sum(fallbacks.values())
+    by_path = {
+        (dict(c.labels)["path"], dict(c.labels)["reason"]): c.value
+        for c in registry.collect()
+        if c.name == "runner_points_total"
+    }
+    assert sum(by_path.values()) == stats.simulated
+    assert by_path[("fleet", "lockstep")] == stats.fleet
+    assert by_path[("scalar", "task")] == fallbacks["task"]

@@ -18,12 +18,12 @@ from repro.experiments.common import (
     set_default_runner,
 )
 from repro.obs.tracing import KIND_POINT, SpanRecorder
+from repro.sim import runner as runner_module
 from repro.sim.engine import SimulationConfig, run_workload
 from repro.sim.runner import (
     ParallelRunner,
     ResultCache,
     RunPoint,
-    canonicalize,
     code_version,
     config_hash,
     stable_hash,
@@ -343,9 +343,9 @@ class TestObservability:
 
 
 class TestHashingPrimitives:
-    def test_canonicalize_rejects_unknown_types(self):
+    def test_stable_hash_rejects_unknown_types(self):
         with pytest.raises(TypeError):
-            canonicalize(object())
+            stable_hash(object())
 
     def test_stable_hash_distinguishes_structure(self):
         assert stable_hash([1, 2]) != stable_hash([2, 1])
@@ -429,23 +429,26 @@ class TestPinnedCacheKeys:
         point = _pinned_points()[name]
         assert config_hash(point, version="pinned") == PINNED_KEYS[name]
 
-    def test_batch_memo_keeps_every_key(self):
-        """One memo shared across a batch (as run_points shares it)
-        yields exactly the unmemoised keys, in any order and repeated."""
+    def test_warm_and_cold_table_keep_every_key(self, monkeypatch):
+        """Keys are the same whether the fragment table is warm, as in a
+        long-lived process, or cold, in any order and repeated."""
         points = list(_pinned_points().values())
         batch = points + points[::-1] + quick_points(3)
-        memo = {}
-        shared = [config_hash(p, "pinned", memo) for p in batch]
-        assert shared == [config_hash(p, "pinned") for p in batch]
-        assert shared[: len(PINNED_KEYS)] == [
+        warm = [config_hash(p, "pinned") for p in batch]
+        cold = []
+        for p in batch:
+            monkeypatch.setattr(runner_module, "_FRAGMENTS", {})
+            cold.append(config_hash(p, "pinned"))
+        assert warm == cold
+        assert warm[: len(PINNED_KEYS)] == [
             PINNED_KEYS[name] for name in _pinned_points()
         ]
 
-    def test_memo_pins_its_objects(self):
-        """The memo holds what it keyed by id, so no id can be reused."""
+    def test_table_pins_its_objects(self, monkeypatch):
+        """The table holds what it keyed by id, so no id can be reused."""
+        monkeypatch.setattr(runner_module, "_FRAGMENTS", {})
         point = _pinned_points()["fault-plan"]
-        memo = {}
-        config_hash(point, "pinned", memo)
-        held = [entry[0] for entry in memo.values()]
+        config_hash(point, "pinned")
+        held = [entry[0] for entry in runner_module._FRAGMENTS.values()]
         assert any(obj is point.config.fault_plan for obj in held)
         assert any(obj is point.config.machine for obj in held)
