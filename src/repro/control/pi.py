@@ -287,11 +287,6 @@ class PIBank:
         self._window = np.zeros((shape[0], 1 + block) + shape[1:])
         self.output_sum = self._window[:, 0]
 
-    @property
-    def n_lanes(self) -> int:
-        """Total number of controller lanes in the bank."""
-        return int(self.setpoints.size)
-
     def step_prefix(self, m: int, measured: np.ndarray, slot: int) -> np.ndarray:
         """Advance lanes ``[:m]`` one sample period; returns their outputs.
 

@@ -20,7 +20,7 @@ from repro.control.pi import (
     PIDesign,
     design_paper_controller,
 )
-from repro.core.policy import DEFAULT_THRESHOLD_C, SensorReadings, ThrottlePolicy
+from repro.core.policy import DEFAULT_THRESHOLD_C, ThrottlePolicy
 
 #: Setpoint margin below the threshold ("slightly below", Section 2.3).
 DEFAULT_SETPOINT_MARGIN_C = 2.0
@@ -96,27 +96,15 @@ class DVFSPolicy(ThrottlePolicy):
         """The controller governing ``core``."""
         return self.controllers[core if self.scope == "distributed" else 0]
 
-    def scales(self, time_s: float, readings: SensorReadings) -> List[float]:
+    def scales_from_hottest(
+        self, time_s: float, hottest: Sequence[float]
+    ) -> List[float]:
         """Advance each controller one period and return per-core scales.
 
         "Since an individual controller governs an entire core or
         processor, it typically selects the hottest of the input
-        temperatures" (Section 4.1).
-        """
-        self._check_readings(readings)
-        return self.scales_from_hottest(
-            time_s, [self.hottest(r) for r in readings]
-        )
-
-    def scales_from_hottest(
-        self, time_s: float, hottest: Sequence[float]
-    ) -> List[float]:
-        """Validation-free :meth:`scales` on per-core hottest readings.
-
-        The controllers only ever consume each core's hottest monitored
-        temperature, so the engine's hot loop can hand that in directly
-        (skipping per-step dict assembly); results are identical to
-        :meth:`scales` on the readings the values came from.
+        temperatures" (Section 4.1): a distributed controller steps on
+        its core's hottest reading, the global one on the chip's.
         """
         if self.scope == "distributed":
             return [

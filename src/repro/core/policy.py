@@ -1,8 +1,11 @@
 """Throttle-policy interface.
 
 A throttle policy is the inner, fine-grained loop of the paper's design:
-once per trace sample (27.78 us) it reads the per-core hotspot sensors and
-returns one frequency-scale factor per core. The two mechanisms map onto
+once per trace sample (27.78 us) it reads each core's hottest hotspot
+sensor and returns one frequency-scale factor per core. "Since an
+individual controller governs an entire core or processor, it typically
+selects the hottest of the input temperatures" (Section 4.1), so that one
+reading per core is all a policy is handed. The two mechanisms map onto
 that interface naturally:
 
 * stop-go returns 1.0 (run) or 0.0 (frozen);
@@ -14,13 +17,10 @@ A *global* policy returns the same value for every core.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 #: The paper's thermal emergency threshold (deg C).
 DEFAULT_THRESHOLD_C = 84.2
-
-#: Sensor reading type: hotspot unit name -> temperature, one dict per core.
-SensorReadings = List[Dict[str, float]]
 
 
 class ThrottlePolicy(abc.ABC):
@@ -37,12 +37,16 @@ class ThrottlePolicy(abc.ABC):
         self.threshold_c = float(threshold_c)
 
     @abc.abstractmethod
-    def scales(self, time_s: float, readings: SensorReadings) -> List[float]:
+    def scales_from_hottest(
+        self, time_s: float, hottest: Sequence[float]
+    ) -> List[float]:
         """One frequency-scale factor per core for the next step.
 
-        ``readings`` holds, per core, the temperatures of that core's
-        monitored hotspots. A return value of 0.0 means "stalled" (stop-go
-        freeze); DVFS values lie in its clipped range.
+        ``hottest`` holds, per core, the hottest of that core's monitored
+        hotspot readings (the engine folds each row of its
+        ``(cores, units)`` reading array with Python's ``max``). A return
+        value of 0.0 means "stalled" (stop-go freeze); DVFS values lie in
+        its clipped range.
         """
 
     def on_migration(self, cores: Sequence[int], time_s: float) -> None:
@@ -64,16 +68,3 @@ class ThrottlePolicy(abc.ABC):
 
     def reset_window(self, core: int) -> None:
         """Clear the averaging window of :meth:`average_scale`."""
-
-    @staticmethod
-    def hottest(reading: Dict[str, float]) -> float:
-        """Hottest monitored temperature of one core."""
-        if not reading:
-            raise ValueError("empty sensor reading")
-        return max(reading.values())
-
-    def _check_readings(self, readings: SensorReadings) -> None:
-        if len(readings) != self.n_cores:
-            raise ValueError(
-                f"expected readings for {self.n_cores} cores, got {len(readings)}"
-            )

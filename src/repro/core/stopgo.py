@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.core.policy import DEFAULT_THRESHOLD_C, SensorReadings, ThrottlePolicy
+from repro.core.policy import DEFAULT_THRESHOLD_C, ThrottlePolicy
 
 #: Freeze duration after a thermal trip (Section 2.3).
 DEFAULT_FREEZE_S = 30e-3
@@ -67,23 +67,13 @@ class StopGoPolicy(ThrottlePolicy):
         """Sensor level at which the thermal interrupt fires."""
         return self.threshold_c - self.trip_margin_c
 
-    def scales(self, time_s: float, readings: SensorReadings) -> List[float]:
-        """0.0 for frozen cores, 1.0 otherwise; freezes cores that trip."""
-        self._check_readings(readings)
-        return self.scales_from_hottest(
-            time_s, [self.hottest(r) for r in readings]
-        )
-
     def scales_from_hottest(
         self, time_s: float, hottest: Sequence[float]
     ) -> List[float]:
-        """Validation-free :meth:`scales` on per-core hottest readings.
+        """0.0 for frozen cores, 1.0 otherwise; freezes cores that trip.
 
-        The trip decision only ever consumes each core's hottest
-        monitored temperature, so the engine's hot loop can hand that in
-        directly (skipping per-step dict assembly); results are
-        identical to :meth:`scales` on the readings the values came
-        from.
+        A core trips when its hottest monitored reading reaches the trip
+        temperature.
         """
         tripped = [h >= self.trip_temperature_c for h in hottest]
         for core in range(self.n_cores):

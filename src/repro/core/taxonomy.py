@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.counter_migration import CounterBasedMigration
@@ -72,9 +73,14 @@ class PolicySpec:
             and self.migration is MigrationKind.NONE
         )
 
-    @property
+    @cached_property
     def key(self) -> str:
-        """Stable machine-readable identifier."""
+        """Stable machine-readable identifier.
+
+        Computed once per instance: a warm artifact pass reads it for
+        every in-memory lookup. It lives in the instance ``__dict__``,
+        not in a field, so equality, hashing and cache keys ignore it.
+        """
         return f"{self.scope.value}-{self.throttle.value}-{self.migration.value}"
 
 

@@ -29,7 +29,7 @@ fallible in both directions — which is the point of evaluating it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -157,16 +157,17 @@ class SensorGuardBank:
         return (implausible | jumped | stuck).any(axis=1)
 
     def observe(
-        self, time_s: float, readings: List[Dict[str, float]]
+        self, time_s: float, temps: np.ndarray
     ) -> List[Tuple[int, str]]:
         """Fold one step of readings into the watchdog state.
 
-        Returns ``(core, "trip"|"clear")`` transitions in core order
-        (empty on steady states).
+        ``temps`` is the ``(n_cores, n_units)`` reading array the
+        policies see, columns in ``HOTSPOT_UNITS`` order. Returns
+        ``(core, "trip"|"clear")`` transitions in core order (empty on
+        steady states).
         """
-        temps = np.array(
-            [list(r.values()) for r in readings], dtype=float
-        )
+        # A copy: the bank keeps this step's readings for the next one.
+        temps = np.array(temps, dtype=float)
         if temps.shape != (self.n_cores, self.n_units):
             raise ValueError(
                 f"expected readings shaped {(self.n_cores, self.n_units)}, "

@@ -427,15 +427,3 @@ def run_from_args(args) -> int:
     path = write_bench_json(payload, args.output or "BENCH_serve.json")
     print(f"\nartifact written -> {path}")
     return 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Standalone entry point (``benchmarks/serve_load.py``)."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro serve-bench",
-        description="load-test a serve process and write BENCH_serve.json",
-    )
-    add_serve_bench_arguments(parser)
-    return run_from_args(parser.parse_args(argv))

@@ -1,15 +1,13 @@
 """Engine throughput benchmark suite (steps/second per policy).
 
-One canonical case list drives three consumers so they can never drift
-apart:
+One canonical case list, one entry point (``python -m repro bench``):
 
-* ``benchmarks/test_engine_speed.py`` — the pytest-benchmark suite;
-* ``benchmarks/bench_to_json.py`` / ``repro bench`` — measures the same
-  cases with :func:`time.perf_counter` (no pytest dependency) and writes
-  the tracked ``BENCH_engine.json`` artifact at the repo root;
-* the CI bench job — reruns the *short* cases and fails when any drops
-  more than :data:`DEFAULT_TOLERANCE` below the committed baseline
-  (``repro bench --short --check BENCH_engine.json``).
+* ``repro bench`` measures the cases with :func:`time.perf_counter` (no
+  pytest dependency) and writes the tracked ``BENCH_engine.json``
+  artifact at the repo root;
+* ``repro bench --short --check BENCH_engine.json`` reruns the *short*
+  cases and fails when any drops more than :data:`DEFAULT_TOLERANCE`
+  below the committed baseline (the CI bench job).
 
 Measurement protocol: each case builds a fresh simulator per round
 (engine state is single-shot) and times ``sim.run()`` only — simulator
@@ -725,15 +723,3 @@ def run_from_args(args) -> int:
     path = write_bench_json(payload, args.output or "BENCH_engine.json")
     print(f"\nbaseline written -> {path}")
     return 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Standalone entry point (``benchmarks/bench_to_json.py``)."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="measure engine throughput and write BENCH_engine.json",
-    )
-    add_bench_arguments(parser)
-    return run_from_args(parser.parse_args(argv))

@@ -632,7 +632,7 @@ class ThermalTimingSimulator:
         # Telemetry sampling: one state read after every `tel_stride`-th
         # step. The sampler consumes true post-step temperatures (never
         # the sensor path) and feeds nothing back, so it perturbs neither
-        # need_sensors/policy_fast gating below nor any simulated value.
+        # the need_sensors gating below nor any simulated value.
         telemetry = self.telemetry
         if telemetry is not None:
             tel_stride = telemetry.stride_steps(dt)
@@ -641,38 +641,17 @@ class ThermalTimingSimulator:
             tel_stride = 0
             tel_next = -1
 
-        # What the sensor path must produce: policies, guards and faults
-        # all consume readings every step; the profiler keeps the
-        # sensors section observable even for unthrottled runs. Per-core
-        # dicts are materialized only for the dict-API consumers.
+        # Policies, guards and faults consume readings every step; an
+        # attached profiler does not, so profiling an unthrottled run
+        # reads no sensors and draws no noise. Readings stay one
+        # (n_cores, units) array; the policies get each core's hottest.
         need_sensors = (
-            throttle is not None
-            or guards is not None
-            or faults is not None
-            or self.profiler is not None
-        )
-        # Hottest-only fast path: both throttle families consume nothing
-        # but each core's hottest reading (scales_from_hottest), so when
-        # no other consumer needs the full per-unit dicts the loop hands
-        # the policy a plain float list instead. Migration ticks build
-        # dicts on demand (a few per run). Results are identical either
-        # way — scales() delegates to scales_from_hottest() on exactly
-        # these values.
-        policy_fast = (
-            throttle is not None
-            and hasattr(throttle, "scales_from_hottest")
-            and guards is None
-            and faults is None
-        )
-        need_dicts = (
-            (throttle is not None and not policy_fast)
-            or guards is not None
+            throttle is not None or guards is not None or faults is not None
         )
         window_live = throttle is not None and self.migration is not None
         offset = cfg.sensor_offset_c
         noise = cfg.sensor_noise_std_c
         quant = cfg.sensor_quantization_c
-        u0, u1 = HOTSPOT_UNITS
 
         # Reusable profiler section handles (no-ops when unprofiled).
         sec_sensors = prof.section("sensors")
@@ -700,7 +679,6 @@ class ThermalTimingSimulator:
         l2_base = cfg.power_scale * L2_BANK_PEAK_W
         xbar_base = cfg.power_scale * XBAR_PEAK_W
 
-        readings: List[Dict[str, float]] = []
         hot: List[float] = []
         temps = None
         for step in range(n_steps):
@@ -719,9 +697,9 @@ class ThermalTimingSimulator:
                             0.0, noise, temps.shape
                         )
                     if quant > 0:
-                        # Round-half-up-to-grid (x.5 snaps toward +inf),
-                        # the rule SensorBank documents — not np.round's
-                        # round-half-even.
+                        # Round-half-up-to-grid (x.5 snaps toward +inf,
+                        # so -0.5 reads 0.0 on a unit grid) — not
+                        # np.round's round-half-even.
                         temps = np.floor(temps / quant + 0.5) * quant
                     if faults is not None:
                         # Dynamic faults apply after the static pipeline:
@@ -729,16 +707,16 @@ class ThermalTimingSimulator:
                         # *reported* (already offset/noisy/quantized)
                         # value, as real readout paths do.
                         temps = faults.apply_sensor_faults(t, temps)
-                    if need_dicts:
-                        readings = [
-                            {u0: r[0], u1: r[1]} for r in temps.tolist()
-                        ]
-                    elif policy_fast:
-                        hot = [max(r[0], r[1]) for r in temps.tolist()]
+                    if throttle is not None:
+                        # Python's max keeps a unit's reading unless a
+                        # later one is strictly greater, so a NaN first
+                        # unit wins and a NaN later one is skipped —
+                        # the fleet's fold matches it.
+                        hot = [max(r) for r in temps.tolist()]
 
             # Sensor-sanity watchdog: sees exactly what the policies see.
             if guards is not None:
-                for core, transition in guards.observe(t, readings):
+                for core, transition in guards.observe(t, temps):
                     logger.debug("guard %s core=%d t=%.6f", transition, core, t)
                     if events is not None:
                         events.emit(
@@ -750,14 +728,7 @@ class ThermalTimingSimulator:
             # Outer loop: OS timer + migration.
             if migration_due(t):
                 with sec_os_tick:
-                    if policy_fast and self.migration is not None:
-                        # The tick's migration trigger wants full dicts;
-                        # build them for this step only (same values the
-                        # hot list was reduced from).
-                        readings = [
-                            {u0: r[0], u1: r[1]} for r in temps.tolist()
-                        ]
-                    self._os_tick(t, readings)
+                    self._os_tick(t, temps)
                 procs = [process_on(c) for c in core_range]
                 core_aux = [trace_aux[p.pid] for p in procs]
 
@@ -767,10 +738,7 @@ class ThermalTimingSimulator:
             else:
                 prev_trips = throttle.trip_count if stopgo else 0
                 with sec_throttle:
-                    if policy_fast:
-                        scales = throttle.scales_from_hottest(t, hot)
-                    else:
-                        scales = throttle.scales(t, readings)
+                    scales = throttle.scales_from_hottest(t, hot)
                 if events is not None and stopgo:
                     self._emit_stopgo_events(events, t, scales, prev_trips)
 
@@ -936,12 +904,8 @@ class ThermalTimingSimulator:
                 # thread-core thermal table, whose sole reader is an
                 # active migration policy — without one the fold
                 # self-skips (duration_s stays 0) and nothing observable
-                # changes. The dict path preserves the order-sensitive
-                # NaN semantics faulted readings need.
-                if faults is None:
-                    window.accumulate_array(temps, dt)
-                else:
-                    window.accumulate(readings, dt)
+                # changes.
+                window.accumulate(temps, dt)
 
     def _run_fused(self, n_steps: int, metrics: MetricsAccumulator) -> None:
         """Fused whole-run fast path for runs with no per-step observers.
@@ -1135,8 +1099,14 @@ class ThermalTimingSimulator:
 
     # -- OS tick ---------------------------------------------------------------
 
-    def _os_tick(self, t: float, readings: List[Dict[str, float]]) -> None:
-        """Timer interrupt: fold trend windows, maybe migrate."""
+    def _os_tick(self, t: float, temps: Optional[np.ndarray]) -> None:
+        """Timer interrupt: fold trend windows, maybe migrate.
+
+        ``temps`` is this step's ``(n_cores, units)`` reading array
+        (``None`` when the run reads no sensors). The migration trigger
+        and policies take per-core ``{unit: reading}`` dicts in
+        ``HOTSPOT_UNITS`` order; this is the one place they are built.
+        """
         events = self.event_log
         if events is not None:
             events.emit(t, "os-tick")
@@ -1157,11 +1127,10 @@ class ThermalTimingSimulator:
                         pid, c, unit, obs, avg_scale, exponent=exponent
                     )
 
-        if (
-            self.migration is not None
-            and self.throttle is not None
-            and self._migration_triggered(t, readings)
-        ):
+        readings = None
+        if self.migration is not None and self.throttle is not None:
+            readings = [dict(zip(HOTSPOT_UNITS, r)) for r in temps.tolist()]
+        if readings is not None and self._migration_triggered(t, readings):
             urgent = isinstance(self.throttle, StopGoPolicy) and any(
                 self.throttle.is_frozen(c, t) for c in range(self.n_cores)
             )
@@ -1316,41 +1285,32 @@ class _TrendWindow:
         """Empty the window (called at every OS tick)."""
         self._sum = np.zeros((self.n_cores, self.n_units))
         self._first = np.full((self.n_cores, self.n_units), np.nan)
+        # Whether every channel of _first holds a reading yet.
+        self._latched = False
         self._last = np.zeros((self.n_cores, self.n_units))
         self._min_sum = 0.0
         self._steps = 0
         self.duration_s = 0.0
 
-    def accumulate(self, readings: List[Dict[str, float]], dt: float) -> None:
-        """Fold one step's sensor readings into the window."""
-        # Unit order is the insertion order of the reading dicts, which the
-        # engine builds in HOTSPOT_UNITS order.
-        chip_min = np.inf
-        for c, reading in enumerate(readings):
-            for k, temp in enumerate(reading.values()):
-                self._sum[c, k] += temp
-                if np.isnan(self._first[c, k]):
-                    self._first[c, k] = temp
-                self._last[c, k] = temp
-                chip_min = min(chip_min, temp)
-        self._min_sum += chip_min
-        self._steps += 1
-        self.duration_s += dt
+    def accumulate(self, temps: np.ndarray, dt: float) -> None:
+        """Fold one step's ``(n_cores, n_units)`` readings into the window.
 
-    def accumulate_array(self, temps: np.ndarray, dt: float) -> None:
-        """Vectorized :meth:`accumulate` for NaN-free readings.
-
-        Each state update is element-wise identical to the dict path. The
-        only semantic divergence is the chip-min reduction, which is
-        order-dependent when a reading is NaN (Python's ``min`` latches a
-        NaN first operand, ``np.min`` always propagates it) — callers
-        with faulted readings must use :meth:`accumulate`.
+        A dropped-out channel reads NaN. The sums and the last reading
+        take it as it comes; a channel's first reading is its first
+        non-NaN one; the chip minimum skips NaN (``+inf`` on a step with
+        no valid reading). ``fleet._flush_window`` folds blocks of steps
+        by the same rules.
         """
         self._sum += temps
-        if self._steps == 0:
-            np.copyto(self._first, temps)
+        if not self._latched:
+            first = self._first
+            np.copyto(first, temps, where=np.isnan(first))
+            self._latched = not np.isnan(first).any()
         self._last[...] = temps
-        self._min_sum += temps.min()
+        chip_min = temps.min()
+        if chip_min != chip_min:
+            chip_min = np.where(np.isnan(temps), np.inf, temps).min()
+        self._min_sum += chip_min
         self._steps += 1
         self.duration_s += dt
 

@@ -121,7 +121,6 @@ from repro.uarch.power import (
 
 _OM_L2 = 1 - L2_IDLE_FRACTION
 _OM_XBAR = 1 - XBAR_IDLE_FRACTION
-_U0, _U1 = HOTSPOT_UNITS
 
 # Columns of the core-major progress state (_GroupBase.prog): the
 # counters and trace position of the process on each (chip, core) slot.
@@ -1055,8 +1054,7 @@ class _StepwiseGroup(_GroupBase):
         self._sync_throttle_in(i)
         self._write_processes(i)
 
-        readings = [{_U0: r[0], _U1: r[1]} for r in sens_row.tolist()]
-        sim._os_tick(t, readings)
+        sim._os_tick(t, sens_row)
 
         self.su[i] = sim._stall_until
         self._permute_slots(i, sim.scheduler.assignment)
@@ -1349,10 +1347,11 @@ class _StepwiseGroup(_GroupBase):
                         sens[r] = finj.apply_sensor_faults(step, sens[r])
                 if throttled:
                     # Hottest-unit fold written as the scalar's Python
-                    # ``max(r0, r1)`` (second wins only when strictly
-                    # greater): np.maximum would propagate a NaN second
-                    # reading where the scalar keeps the first. Bitwise
-                    # equal for finite readings (selection reduction).
+                    # ``max(r)`` over ``(r0, r1)`` (second wins only when
+                    # strictly greater): np.maximum would propagate a NaN
+                    # second reading where the scalar keeps the first.
+                    # Bitwise equal for finite readings (selection
+                    # reduction).
                     s0c = sens[..., 0]
                     s1c = sens[..., 1]
                     hot = np.where(s1c > s0c, s1c, s0c)

@@ -16,8 +16,11 @@ Public surface:
 * :class:`repro.thermal.package.ThermalPackage` — TIM/spreader/sink;
 * :class:`repro.thermal.model.ThermalModel` — transient + steady solver;
 * :class:`repro.thermal.leakage.LeakageModel` — temperature-dependent
-  leakage power;
-* :class:`repro.thermal.sensors.SensorBank` — quantized, noisy sensors.
+  leakage power.
+
+Sensor readings (offset, noise, half-up quantization, faults) are taken
+by the engines from the model's hotspot temperatures; see
+:mod:`repro.sim.engine`.
 """
 
 from repro.thermal.coupling import (
@@ -37,7 +40,6 @@ from repro.thermal.leakage import LeakageModel
 from repro.thermal.model import ThermalModel
 from repro.thermal.package import ThermalPackage
 from repro.thermal.rc_network import RCNetwork
-from repro.thermal.sensors import SensorBank, ThermalSensor
 
 __all__ = [
     "Block",
@@ -46,10 +48,8 @@ __all__ = [
     "LeakageCouplingError",
     "LeakageModel",
     "RCNetwork",
-    "SensorBank",
     "ThermalModel",
     "ThermalPackage",
-    "ThermalSensor",
     "build_cmp_floorplan",
     "build_core_floorplan",
     "coupled_steady_state",

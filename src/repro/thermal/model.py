@@ -178,10 +178,6 @@ class ThermalKernel:
             self._propagators[key] = cached
         return cached
 
-    def cached_dt_keys(self) -> List[str]:
-        """Bit-pattern keys of every propagator built so far (test hook)."""
-        return list(self._propagators)
-
     def steady_state(self, block_power_w: Sequence[float]) -> np.ndarray:
         """Steady-state node temperatures under constant block powers."""
         u = self.network.input_vector(np.asarray(block_power_w, dtype=float))
@@ -247,10 +243,6 @@ class ThermalModel:
         Delegates to the (possibly shared) kernel's per-``dt`` cache.
         """
         return self.kernel.operator_for(dt)
-
-    def _propagator_for(self, dt: float) -> np.ndarray:
-        """The homogeneous propagator matrix ``A_d`` for ``dt`` (cached)."""
-        return self.operator_for(dt).a_d
 
     def _checked_power(self, block_power_w: Sequence[float]) -> np.ndarray:
         """Validate and coerce a block power vector."""

@@ -123,11 +123,6 @@ class PowerModel:
         )
 
     @property
-    def core_peak_power_w(self) -> float:
-        """Sum of unit peaks — the core's unconstrained dynamic power."""
-        return float(self.unit_peaks.sum())
-
-    @property
     def reference_leakage_w(self) -> float:
         """Chip leakage at the reference temperature, for the leakage model."""
         return self.scale * CHIP_REFERENCE_LEAKAGE_W

@@ -72,10 +72,6 @@ class PowerTrace:
         """Per-unit dynamic power at a trace position (nominal V/f)."""
         return self.unit_power[self.sample_index(position)]
 
-    def l2_activity_at(self, position: float) -> float:
-        """Shared-L2 activity factor at a trace position."""
-        return float(self.l2_activity[self.sample_index(position)])
-
     def counters_at(self, position: float) -> Dict[str, float]:
         """Counter values of the sample at a trace position.
 

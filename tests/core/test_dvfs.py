@@ -8,33 +8,39 @@ DT = 100_000 / 3.6e9
 
 
 def readings(*temps):
-    return [{"intreg": t, "fpreg": t - 5.0} for t in temps]
+    """Per-core hottest readings, as the engine hands them to a policy."""
+    return [float(t) for t in temps]
 
 
 class TestDistributedDVFS:
     def test_cool_cores_full_speed(self):
         p = DVFSPolicy(4, dt=DT)
-        scales = p.scales(0.0, readings(60, 60, 60, 60))
+        scales = p.scales_from_hottest(0.0, readings(60, 60, 60, 60))
         assert scales == [1.0] * 4
 
     def test_hot_core_throttles_independently(self):
         p = DVFSPolicy(4, dt=DT)
         for k in range(500):
-            scales = p.scales(k * DT, readings(95, 60, 60, 60))
+            scales = p.scales_from_hottest(k * DT, readings(95, 60, 60, 60))
         assert scales[0] < 1.0
         assert scales[1] == 1.0
 
     def test_hottest_sensor_governs(self):
-        """The controller "selects the hottest of the input temperatures"."""
-        p = DVFSPolicy(1, dt=DT)
+        """The controller "selects the hottest of the input temperatures":
+        a global controller fed a cool and a hot core steps exactly as a
+        distributed one fed the hot core alone."""
+        chip = DVFSPolicy(2, dt=DT, scope="global")
+        alone = DVFSPolicy(1, dt=DT)
         for k in range(500):
-            hot_fp = p.scales(k * DT, [{"intreg": 60.0, "fpreg": 95.0}])
-        assert hot_fp[0] < 1.0
+            hot_second = chip.scales_from_hottest(k * DT, readings(60, 95))
+            reference = alone.scales_from_hottest(k * DT, readings(95))
+        assert hot_second == reference * 2
+        assert reference[0] < 1.0
 
     def test_output_floor(self):
         p = DVFSPolicy(1, dt=DT)
         for k in range(20_000):
-            scales = p.scales(k * DT, readings(130))
+            scales = p.scales_from_hottest(k * DT, readings(130))
         assert scales[0] == pytest.approx(0.2)
 
     def test_setpoint_below_threshold(self):
@@ -50,7 +56,7 @@ class TestGlobalDVFS:
     def test_one_hot_core_slows_everyone(self):
         p = DVFSPolicy(4, dt=DT, scope="global")
         for k in range(500):
-            scales = p.scales(k * DT, readings(95, 60, 60, 60))
+            scales = p.scales_from_hottest(k * DT, readings(95, 60, 60, 60))
         assert len(set(scales)) == 1
         assert scales[0] < 1.0
 
@@ -63,20 +69,20 @@ class TestFeedback:
     def test_average_scale_window(self):
         p = DVFSPolicy(1, dt=DT)
         for k in range(300):
-            p.scales(k * DT, readings(95))
+            p.scales_from_hottest(k * DT, readings(95))
         assert p.average_scale(0) < 1.0
         saturated = p.average_scale(0)
         p.reset_window(0)
         # Recovery is not instant (incremental PI), but a handful of cool
         # samples lifts the fresh window well above the saturated average.
         for k in range(20):
-            p.scales((301 + k) * DT, readings(60))
+            p.scales_from_hottest((301 + k) * DT, readings(60))
         assert p.average_scale(0) > max(0.8, saturated)
 
     def test_on_migration_resets_window_not_output(self):
         p = DVFSPolicy(2, dt=DT)
         for k in range(1000):
-            p.scales(k * DT, readings(95, 60))
+            p.scales_from_hottest(k * DT, readings(95, 60))
         before = p.controller_for(0).output
         p.on_migration([0], 1000 * DT)
         assert p.controller_for(0).output == before  # output survives

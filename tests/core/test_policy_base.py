@@ -10,8 +10,7 @@ class _Constant(ThrottlePolicy):
 
     kind = "test"
 
-    def scales(self, time_s, readings):
-        self._check_readings(readings)
+    def scales_from_hottest(self, time_s, hottest):
         return [1.0] * self.n_cores
 
 
@@ -22,16 +21,6 @@ class TestBaseClass:
     def test_core_count_validation(self):
         with pytest.raises(ValueError):
             _Constant(0)
-
-    def test_reading_width_checked(self):
-        policy = _Constant(4)
-        with pytest.raises(ValueError, match="expected readings"):
-            policy.scales(0.0, [{"intreg": 50.0}] * 3)
-
-    def test_hottest_helper(self):
-        assert ThrottlePolicy.hottest({"intreg": 80.0, "fpreg": 82.5}) == 82.5
-        with pytest.raises(ValueError):
-            ThrottlePolicy.hottest({})
 
     def test_default_feedback_surface(self):
         """Policies that don't override the feedback hooks behave sanely:

@@ -1,5 +1,6 @@
 """Tests for the sensor-sanity watchdog and blind stop-go fallback."""
 
+import numpy as np
 import pytest
 
 from repro.faults.guards import GuardConfig, SensorGuardBank
@@ -15,9 +16,8 @@ def bank(n_cores=2, **cfg):
 
 
 def readings(*core_temps):
-    return [
-        {"intreg": float(a), "fpreg": float(b)} for a, b in core_temps
-    ]
+    """One ``(n_cores, units)`` reading array, columns in UNITS order."""
+    return np.array(core_temps, dtype=float)
 
 
 class TestGuardConfig:
@@ -118,7 +118,7 @@ class TestWatchdog:
     def test_shape_mismatch_rejected(self):
         g = bank()
         with pytest.raises(ValueError):
-            g.observe(0.0, [{"intreg": 60.0}, {"intreg": 60.0}])
+            g.observe(0.0, np.array([[60.0], [60.0]]))
 
 
 class TestFallbackOverride:

@@ -5,6 +5,9 @@ involved in a migration; these tests verify the charges actually land in
 the duty-cycle arithmetic.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.core.taxonomy import spec_by_key
@@ -106,7 +109,7 @@ class TestTrendWindowGradient:
 
     @staticmethod
     def _readings(temp: float):
-        return [{unit: temp for unit in HOTSPOT_UNITS}]
+        return np.full((1, len(HOTSPOT_UNITS)), temp)
 
     def test_linear_ramp_recovered_exactly(self):
         """n samples of a linear ramp span (n-1)*dt, not n*dt: a 100 C/s
@@ -130,6 +133,63 @@ class TestTrendWindowGradient:
         assert window.gradient(0, 0) == 0.0
         window.accumulate(self._readings(70.0), 1e-3)
         assert window.gradient(0, 0) == 0.0
+
+
+class TestTrendWindowNaN:
+    """A dropped-out channel reads NaN: sums and the last reading take it
+    as it comes, the latch keeps a channel's first non-NaN reading, and
+    the chip minimum skips NaN (``+inf`` when a step has no valid one)."""
+
+    NAN = float("nan")
+
+    def _window(self):
+        return _TrendWindow(n_cores=2, n_units=2)
+
+    def test_first_reading_nan(self):
+        w = self._window()
+        w.accumulate(np.array([[self.NAN, 60.0], [61.0, 62.0]]), 1e-3)
+        assert math.isnan(w._first[0, 0])
+        assert w._first[0, 1] == 60.0
+        w.accumulate(np.array([[63.0, 64.0], [65.0, 66.0]]), 1e-3)
+        # The NaN channel latches its first valid reading; the others
+        # keep their step-0 readings.
+        assert w._first.tolist() == [[63.0, 60.0], [61.0, 62.0]]
+        assert w._last.tolist() == [[63.0, 64.0], [65.0, 66.0]]
+        assert math.isnan(w._sum[0, 0])
+        assert w._sum[0, 1] == 124.0 and w._sum[1, 1] == 128.0
+        assert w._min_sum == 60.0 + 63.0
+        assert w.chip_min_avg() == pytest.approx(61.5)
+        assert w._steps == 2 and w.duration_s == pytest.approx(2e-3)
+
+    def test_step_with_a_nan_channel(self):
+        w = self._window()
+        w.accumulate(np.array([[70.0, 71.0], [72.0, 73.0]]), 1e-3)
+        w.accumulate(np.array([[74.0, 75.0], [self.NAN, 69.0]]), 1e-3)
+        assert w._first.tolist() == [[70.0, 71.0], [72.0, 73.0]]
+        assert w._last[0].tolist() == [74.0, 75.0]
+        assert math.isnan(w._last[1, 0]) and w._last[1, 1] == 69.0
+        assert math.isnan(w._sum[1, 0])
+        assert w._sum[0].tolist() == [144.0, 146.0] and w._sum[1, 1] == 142.0
+        assert w._min_sum == 70.0 + 69.0
+
+    def test_all_nan_step(self):
+        w = self._window()
+        w.accumulate(np.full((2, 2), self.NAN), 1e-3)
+        assert np.isnan(w._first).all()
+        assert w._min_sum == math.inf
+        w.accumulate(np.array([[50.0, 51.0], [52.0, 53.0]]), 1e-3)
+        assert w._first.tolist() == [[50.0, 51.0], [52.0, 53.0]]
+        assert w._min_sum == math.inf
+        assert w._steps == 2
+
+    def test_reset_reopens_the_latch(self):
+        w = self._window()
+        w.accumulate(np.array([[70.0, 71.0], [72.0, 73.0]]), 1e-3)
+        w.reset()
+        w.accumulate(np.array([[self.NAN, 40.0], [41.0, 42.0]]), 1e-3)
+        w.accumulate(np.array([[43.0, 44.0], [45.0, 46.0]]), 1e-3)
+        assert w._first.tolist() == [[43.0, 40.0], [41.0, 42.0]]
+        assert w._min_sum == 40.0 + 43.0
 
 
 class TestFrozenStallAccounting:

@@ -24,7 +24,7 @@ from repro.sim.workloads import get_workload
 W7 = get_workload("workload7")
 CFG = SimulationConfig(duration_s=0.02)
 
-#: The four policy configs from benchmarks/test_engine_speed.py.
+#: The four policy configs of the `repro bench` case list (repro.sim.bench).
 POLICY_KEYS = [
     None,
     "distributed-stop-go-none",

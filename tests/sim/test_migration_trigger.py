@@ -67,9 +67,9 @@ class TestUrgencyTrigger:
         r = readings(["intreg"] * 4)
         sim._migration_triggered(0.0, r)
         # Trip core 0 so it freezes; same critical pattern otherwise.
-        hot = [dict(x) for x in r]
-        hot[0]["intreg"] = 84.1
-        sim.throttle.scales(0.005, hot)
+        hot = [max(x.values()) for x in r]
+        hot[0] = 84.1
+        sim.throttle.scales_from_hottest(0.005, hot)
         assert sim.throttle.is_frozen(0, 0.006)
         assert sim._migration_triggered(0.01, r)
 

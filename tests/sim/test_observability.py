@@ -14,7 +14,11 @@ from dataclasses import fields, replace
 from repro.core.taxonomy import spec_by_key
 from repro.obs import ENGINE_SECTIONS, RunEventLog, SpanRecorder, StepProfiler
 from repro.obs.tracing import KIND_POINT, KIND_SECTION
-from repro.sim.engine import SimulationConfig, run_workload
+from repro.sim.engine import (
+    SimulationConfig,
+    ThermalTimingSimulator,
+    run_workload,
+)
 from repro.sim.runner import ParallelRunner, RunPoint
 from repro.sim.workloads import get_workload
 
@@ -124,12 +128,25 @@ class TestProfiler:
         assert all(elapsed > 0 for elapsed in totals.values())
 
     def test_unthrottled_run_has_no_throttle_cost_only(self):
-        """Even the unthrottled reference exercises sensors/power/thermal."""
+        """The unthrottled reference exercises power/thermal only: nothing
+        consumes its readings, so profiling it reads no sensors."""
         prof = StepProfiler()
         run_workload(W7, None, CFG, profiler=prof)
         totals = prof.totals()
-        for section in ("sensors", "power", "thermal-step"):
+        for section in ("power", "thermal-step"):
             assert totals[section] > 0
+        assert "sensors" not in totals and "throttle" not in totals
+
+    def test_profiler_draws_no_sensor_noise(self):
+        """Measuring does not change the work done: a profiled noisy
+        unthrottled run leaves its sensor-noise stream untouched."""
+        cfg = replace(CFG, duration_s=0.002, sensor_noise_std_c=0.5)
+        sim = ThermalTimingSimulator(
+            W7.benchmarks, None, cfg, profiler=StepProfiler()
+        )
+        untouched = sim._sensor_rng.generator.bit_generator.state
+        sim.run()
+        assert sim._sensor_rng.generator.bit_generator.state == untouched
 
 
 class TestRunnerProfileSurfacing:

@@ -175,9 +175,11 @@ class TestObservability:
         for line in section_lines:
             assert line.rstrip().endswith("%")
             assert " ms " in line
-        # 0.005 s never reaches the 10 ms OS tick: the row still renders.
-        os_tick = next(line for line in section_lines if "os-tick" in line)
-        assert "0.00 ms" in os_tick
+        # 0.005 s never reaches the 10 ms OS tick, and an unthrottled run
+        # reads no sensors: both rows still render, at zero.
+        for name in ("os-tick", "sensors"):
+            row = next(line for line in section_lines if name in line)
+            assert "0.00 ms" in row
         assert lines[len(ENGINE_SECTIONS)].split()[0] == "total"
 
     def test_run_profile_table_matches_profile_subcommand_shape(self, capsys):

@@ -117,11 +117,9 @@ def test_pi_output_monotone_under_clipping(history):
 )
 def test_stopgo_scales_are_binary(int_temps, fp_temps):
     policy = StopGoPolicy(4)
-    readings = [
-        {"intreg": i, "fpreg": f} for i, f in zip(int_temps, fp_temps)
-    ]
+    hottest = [max(i, f) for i, f in zip(int_temps, fp_temps)]
     for step in range(5):
-        scales = policy.scales(step * DT, readings)
+        scales = policy.scales_from_hottest(step * DT, hottest)
         assert all(s in (0.0, 1.0) for s in scales)
 
 
