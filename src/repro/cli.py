@@ -698,6 +698,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 0:
         parser.error(f"--jobs must be >= 0 (0 = all cores), got {args.jobs}")
+    if args.fleet_chunk is not None and args.fleet_chunk < 1:
+        parser.error(f"--fleet-chunk must be >= 1, got {args.fleet_chunk}")
     period = getattr(args, "sample_period", None)
     if period is not None and not (math.isfinite(period) and period > 0):
         parser.error(

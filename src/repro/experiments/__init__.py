@@ -4,9 +4,10 @@ Every module exposes ``compute(...)`` returning structured rows and
 ``render(...)`` producing a paper-style plain-text table, so benchmark
 output can be compared against the publication side by side. ``compute``
 declares every simulation point up front and runs them as one batch
-through :func:`~repro.experiments.common.run_cells`, which caches runs per
-(workload, policy, configuration) — the tables share the same underlying
-12x12 grid of simulations.
+through the default runner
+(:func:`~repro.experiments.common.get_default_runner`), which memoises
+every point it serves — the tables share the same underlying 12x12 grid
+of simulations.
 
 Experiment index (see DESIGN.md for the full mapping):
 
@@ -28,7 +29,6 @@ from repro.experiments.common import (
     average_metrics,
     clear_result_cache,
     default_config,
-    run_cells,
     run_matrix,
 )
 
@@ -36,6 +36,5 @@ __all__ = [
     "average_metrics",
     "clear_result_cache",
     "default_config",
-    "run_cells",
     "run_matrix",
 ]

@@ -27,11 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.control.pi import PAPER_KI, PAPER_KP, design_pi
 from repro.core.dvfs import DVFSPolicy
 from repro.core.taxonomy import MigrationKind, PolicySpec, Scope, ThrottleKind
-from repro.experiments.common import (
-    default_config,
-    get_default_runner,
-    run_cells,
-)
+from repro.experiments.common import default_config, get_default_runner
 from repro.sim.engine import SimulationConfig, ThermalTimingSimulator
 from repro.sim.runner import RunPoint
 from repro.sim.workloads import get_workload
@@ -66,7 +62,7 @@ class SweepPoint:
 def _averaged(rows: Sequence[Row], workloads: Sequence[str]) -> List[SweepPoint]:
     """Run every row over ``workloads`` as one batch; average each row."""
     mixes = [get_workload(w) for w in workloads]
-    results = iter(run_cells([
+    results = iter(get_default_runner().run_points([
         RunPoint(w, spec, cfg) for _label, spec, cfg in rows for w in mixes
     ]))
     points = []

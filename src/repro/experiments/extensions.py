@@ -30,11 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.taxonomy import MigrationKind, PolicySpec, Scope, ThrottleKind
-from repro.experiments.common import (
-    default_config,
-    get_default_runner,
-    run_cells,
-)
+from repro.experiments.common import default_config, get_default_runner
 from repro.sim.engine import SimulationConfig, ThermalTimingSimulator
 from repro.sim.results import RunResult
 from repro.sim.runner import RunPoint
@@ -130,7 +126,7 @@ def compute(
         ],
         SMT: [("CMP-4: one thread per core", good, _DDV, config)],
     }
-    results = iter(run_cells([
+    results = iter(get_default_runner().run_points([
         RunPoint(Workload("asym-study", benchmarks), spec, cfg)
         for rows in declared.values()
         for _label, benchmarks, spec, cfg in rows

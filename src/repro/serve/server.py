@@ -153,6 +153,10 @@ class ServeConfig:
             )
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0: {self.retries}")
+        if self.jobs < 0:
+            raise ValueError(f"jobs must be >= 0 (0 = all cores): {self.jobs}")
+        if self.fleet_chunk is not None and self.fleet_chunk < 1:
+            raise ValueError(f"fleet_chunk must be >= 1: {self.fleet_chunk}")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
 
@@ -161,11 +165,13 @@ class ServeExecutor:
     """Executes one job request through a :class:`ParallelRunner`.
 
     A fresh runner per execution keeps retry semantics clean (a broken
-    process pool never leaks into the next attempt) while the shared
-    ``cache`` and memoised engine substrates carry all the expensive
-    state worth keeping warm. Runs on executor threads — everything
-    here must be thread-safe, which the sharded cache and the locked
-    metrics registry are.
+    process pool never leaks into the next attempt) and starts with an
+    empty memo and fleet substrate pool. What stays warm across jobs is
+    the shared ``cache`` and the process-wide memos of power traces
+    (:func:`~repro.uarch.tracegen.generate_trace`), floorplans and RC
+    networks. Runs on executor threads — everything here must be
+    thread-safe, which the sharded cache and the locked metrics registry
+    are.
     """
 
     def __init__(

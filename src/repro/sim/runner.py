@@ -13,13 +13,13 @@ another. This module exploits that:
   simulation code changes the hash;
 * :class:`ResultCache` is an on-disk store addressed by those hashes:
   re-running an experiment or sweep only simulates changed points;
-* :class:`ParallelRunner` consults the cache first, plans the misses
-  (lockstep groups of three or more go to the batched fleet engine,
-  the rest to the scalar engine), runs the plan inline (``jobs = 1``) or
-  across a process pool (``jobs > 1``), and collects results **in input
-  order** so parallel runs are bit-identical to serial ones (the
-  simulation itself is fully deterministic given its seeded
-  configuration).
+* :class:`ParallelRunner` consults its in-memory memo and then the
+  cache, both under that hash, plans the misses (lockstep groups of
+  three or more go to the batched fleet engine, the rest to the scalar
+  engine), runs the plan inline (``jobs = 1``) or across a process pool
+  (``jobs > 1``), and collects results **in input order** so parallel
+  runs are bit-identical to serial ones (the simulation itself is fully
+  deterministic given its seeded configuration).
 
 Observability: the runner keeps a :class:`RunnerStats` ledger of cache
 hit/miss/simulated counters, the path each simulated point took and
@@ -870,12 +870,14 @@ def _run_task(
     return [_run_scalar(points[0], parent, reason)]
 
 
-def _execute_task(item: Tuple[Callable, object]) -> Tuple[object, float]:
+def _execute_task(
+    item: Tuple[Callable, object],
+) -> Tuple[object, float, List[Span], str]:
     """Process-pool task for :meth:`ParallelRunner.map_cached`."""
     fn, payload = item
     t0 = time.perf_counter()
     value = fn(payload)
-    return value, time.perf_counter() - t0
+    return value, time.perf_counter() - t0, [], REASON_TASK
 
 
 class ParallelRunner:
@@ -933,6 +935,13 @@ class ParallelRunner:
     point — worker processes produce bit-identical results to inline
     execution, and results are collected in input order regardless of
     completion order.
+
+    Memo: every value the runner serves — a point's result or a
+    :meth:`map_cached` payload's — stays in an in-memory dict for the
+    runner's lifetime, keyed exactly as on disk. A runner therefore never
+    computes one key twice, and a repeated key reads no disk. The memo
+    has no bound; build a runner per job (as ``repro serve`` does) to
+    release it.
     """
 
     def __init__(
@@ -970,6 +979,8 @@ class ParallelRunner:
         #: Substrate pool shared across fleet batches so traces and the
         #: thermal kernel are built once per machine description.
         self._fleet_substrates: Dict[tuple, object] = {}
+        #: Every value served so far, by its cache key.
+        self._memo: Dict[str, object] = {}
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._version = version
         self.stats = RunnerStats()
@@ -993,6 +1004,15 @@ class ParallelRunner:
         if self._version is None:
             self._version = code_version()
         return self._version
+
+    def clear_memo(self) -> int:
+        """Drop every memoised value; returns how many were discarded.
+
+        The disk cache is untouched; ``runner.cache.clear()`` empties it.
+        """
+        n = len(self._memo)
+        self._memo.clear()
+        return n
 
     # -- core batch execution ---------------------------------------------
 
@@ -1030,56 +1050,18 @@ class ParallelRunner:
         tracer: SpanRecorder,
     ) -> List[RunResult]:
         """The :meth:`run_points` body; ``trace`` is ``None`` untraced."""
-        keys = [config_hash(p, self.version) for p in points]
-        results: List[Optional[RunResult]] = [None] * len(points)
-        done = [False] * len(points)
-
-        if self.cache is not None:
-            for i, key in enumerate(keys):
-                value = self.cache.get(key)
-                if value is not None:
-                    results[i] = value
-                    done[i] = True
-                    self.stats.cache_hits += 1
-                    if self._ctr_cached is not None:
-                        self._ctr_cached.inc()
-                    if trace is not None:
-                        tracer.record(
-                            finished_span(
-                                trace.child(), points[i].label, KIND_POINT,
-                                time.time(), 0.0, cache="hit",
-                            )
-                        )
-                else:
-                    self.stats.cache_misses += 1
-
-        # Duplicate points (same key) within one batch simulate once.
-        pending: Dict[str, List[int]] = {}
-        for i, key in enumerate(keys):
-            if not done[i]:
-                pending.setdefault(key, []).append(i)
-
-        logger.debug(
-            "run_points: %d points, %d cached, %d to simulate (jobs=%d)",
-            len(points),
-            sum(done),
-            len(pending),
-            self.jobs,
+        results = self._get_or_compute(
+            [config_hash(p, self.version) for p in points],
+            lambda todo: self._execute_plan(
+                [points[i] for i in todo], trace, tracer
+            ),
+            lambda i: points[i].label,
+            trace,
+            tracer,
         )
-        todo = [points[idxs[0]] for idxs in pending.values()]
-        outputs = self._execute_plan(todo, trace, tracer)
-        for key, (value, elapsed, spans, reason) in zip(pending, outputs):
-            for i in pending[key]:
-                results[i] = value
-                done[i] = True
-            self._count_simulated(reason, elapsed)
-            tracer.extend(spans)
-            if self.cache is not None:
-                self.cache.put(key, value)
-        assert all(done)
         if self.stats.simulated:
             logger.info("batch complete: %s", self.stats.summary())
-        return results  # type: ignore[return-value]
+        return results
 
     def run_workload(
         self,
@@ -1105,36 +1087,84 @@ class ParallelRunner:
         shaped (e.g. Table 1's per-benchmark mobile measurements). ``fn``
         must be a module-level (picklable) pure function and each payload
         something :func:`stable_hash` encodes; keys cover ``task``, the
-        payload and the code version. Results align with ``payloads``.
-        Each computed payload counts as a scalar point with reason
-        :data:`REASON_TASK`.
+        payload and the code version. Results align with ``payloads``;
+        a repeated payload is computed once. Each computed payload counts
+        as a scalar point with reason :data:`REASON_TASK`.
         """
         keys = [
             stable_hash("task", CACHE_FORMAT_VERSION, self.version, task, p)
             for p in payloads
         ]
-        results: List[Optional[object]] = [None] * len(payloads)
-        done = [False] * len(payloads)
-        if self.cache is not None:
-            for i, key in enumerate(keys):
-                value = self.cache.get(key)
-                if value is not None:
-                    results[i] = value
-                    done[i] = True
-                    self.stats.cache_hits += 1
-                    if self._ctr_cached is not None:
-                        self._ctr_cached.inc()
-                else:
+        return self._get_or_compute(
+            keys,
+            lambda todo: self._execute(
+                [(fn, payloads[i]) for i in todo], _execute_task
+            ),
+            lambda i: task,
+        )
+
+    def _get_or_compute(
+        self,
+        keys: Sequence[str],
+        compute: Callable[[List[int]], List[Tuple[object, float, List[Span], str]]],
+        label: Callable[[int], str],
+        trace: Optional[TraceContext] = None,
+        tracer: SpanRecorder = NULL_TRACER,
+    ) -> List:
+        """Serve one value per key, in order: memo, disk cache, ``compute``.
+
+        Each distinct key of the call is one lookup: a value found in the
+        memo or the cache is a hit (with a zero-length ``cache="hit"``
+        span under ``trace``), anything else a miss. ``compute(indices)``
+        runs the first index of each missed key and returns one
+        ``(value, elapsed_s, spans, reason)`` per index. Each computed
+        value is counted by its reason and stored in the memo and the
+        cache. Repeats of a key share its value.
+        """
+        slots: Dict[str, List[int]] = {}
+        for i, key in enumerate(keys):
+            slots.setdefault(key, []).append(i)
+        results: List[object] = [None] * len(keys)
+        pending: Dict[str, List[int]] = {}
+        for key, idxs in slots.items():
+            if key in self._memo:
+                value = self._memo[key]
+            else:
+                value = self.cache.get(key) if self.cache is not None else None
+                if value is None:
                     self.stats.cache_misses += 1
-        todo = [i for i in range(len(payloads)) if not done[i]]
-        outputs = self._execute([(fn, payloads[i]) for i in todo], _execute_task)
-        for i, (value, elapsed) in zip(todo, outputs):
-            results[i] = value
-            done[i] = True
-            self._count_simulated(REASON_TASK, elapsed)
+                    pending[key] = idxs
+                    continue
+                self._memo[key] = value
+            for i in idxs:
+                results[i] = value
+            self.stats.cache_hits += 1
+            if self._ctr_cached is not None:
+                self._ctr_cached.inc()
+            if trace is not None:
+                tracer.record(
+                    finished_span(
+                        trace.child(), label(idxs[0]), KIND_POINT,
+                        time.time(), 0.0, cache="hit",
+                    )
+                )
+        logger.debug(
+            "%d keys, %d to compute (jobs=%d)", len(slots), len(pending),
+            self.jobs,
+        )
+        if not pending:
+            return results
+        outputs = compute([idxs[0] for idxs in pending.values()])
+        for (key, idxs), (value, elapsed, spans, reason) in zip(
+            pending.items(), outputs
+        ):
+            for i in idxs:
+                results[i] = value
+            self._memo[key] = value
+            self._count_simulated(reason, elapsed)
+            tracer.extend(spans)
             if self.cache is not None:
-                self.cache.put(keys[i], value)
-        assert all(done)
+                self.cache.put(key, value)
         return results
 
     # -- execution backends --------------------------------------------------
@@ -1293,8 +1323,6 @@ class ParallelRunner:
         fleet chunks sharing the runner's substrate pool; otherwise the
         tasks, fleet chunks first, go through one process pool.
         """
-        if not points:
-            return []
         tasks = self._plan(points)
         items = [
             ([points[i] for i in idxs], reason, trace)

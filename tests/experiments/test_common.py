@@ -7,11 +7,10 @@ from repro.experiments.common import (
     average_metrics,
     clear_result_cache,
     default_config,
-    run_cells,
+    get_default_runner,
     run_matrix,
-    set_default_runner,
 )
-from repro.sim.runner import ParallelRunner, RunPoint
+from repro.sim.runner import RunPoint
 from repro.sim.workloads import ALL_WORKLOADS, Workload, get_workload
 
 QUICK = default_config(duration_s=0.01)
@@ -19,7 +18,7 @@ WORKLOADS = list(ALL_WORKLOADS[:2])
 
 
 def run_one(workload, spec, config):
-    (result,) = run_cells([RunPoint(workload, spec, config)])
+    (result,) = get_default_runner().run_points([RunPoint(workload, spec, config)])
     return result
 
 
@@ -54,48 +53,6 @@ class TestCaching:
     def test_clear_reports(self):
         run_one(WORKLOADS[0], BASELINE_SPEC, QUICK)
         assert clear_result_cache() >= 1
-
-
-class TestRunCells:
-    @pytest.fixture
-    def runner(self):
-        clear_result_cache()
-        runner = ParallelRunner(jobs=1, cache=None)
-        previous = set_default_runner(runner)
-        yield runner
-        set_default_runner(previous)
-        clear_result_cache()
-
-    def test_results_align_with_points(self, runner):
-        dvfs = spec_by_key("distributed-dvfs-none")
-        points = [
-            RunPoint(w, spec, QUICK)
-            for spec in (dvfs, None, BASELINE_SPEC)
-            for w in WORKLOADS
-        ]
-        results = run_cells(points)
-        for point, result in zip(points, results):
-            assert result.benchmarks == point.workload.benchmarks
-            assert result.policy == (point.spec.name if point.spec else "unthrottled")
-
-    def test_misses_go_to_the_runner_as_one_batch(self, runner, monkeypatch):
-        batches = []
-        run_points = runner.run_points
-
-        def recording(points):
-            batches.append(len(points))
-            return run_points(points)
-
-        monkeypatch.setattr(runner, "run_points", recording)
-        cached = RunPoint(WORKLOADS[0], BASELINE_SPEC, QUICK)
-        run_cells([cached])
-        fresh = [RunPoint(w, None, QUICK) for w in WORKLOADS]
-        # Duplicates and memory-cached points are not resubmitted.
-        run_cells([cached] + fresh + fresh)
-        assert batches == [1, 2]
-        run_cells([cached] + fresh)
-        assert batches == [1, 2]
-        assert runner.stats.simulated == 3
 
 
 class TestRunMatrix:

@@ -43,6 +43,20 @@ def quick_config(tmp_path, **overrides):
     return ServeConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("jobs", -3), ("fleet_chunk", 0), ("fleet_chunk", -1), ("workers", 0)],
+)
+def test_config_rejects_bad_sizes(tmp_path, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        quick_config(tmp_path, **{field: value})
+
+
+def test_config_accepts_all_cores_and_no_chunk_cap(tmp_path):
+    config = quick_config(tmp_path, jobs=0, fleet_chunk=None)
+    assert (config.jobs, config.fleet_chunk) == (0, None)
+
+
 class ControlledExecutor:
     """Injectable executor: blocks, fails, or dies on command."""
 

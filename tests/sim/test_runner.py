@@ -168,6 +168,119 @@ class TestCache:
         assert len(cache) == 0
 
 
+#: Payloads :func:`_simulate_payload` has computed, in call order.
+COMPUTED = []
+
+
+def _simulate_payload(point):
+    """A ``map_cached`` payload function: one point on the scalar engine."""
+    COMPUTED.append(point)
+    return run_workload(point.workload, point.spec, point.config)
+
+
+class TestMemo:
+    """One get-or-compute routine serves ``run_points`` and ``map_cached``."""
+
+    @staticmethod
+    def counts(runner):
+        stats = runner.stats
+        return stats.cache_hits, stats.cache_misses, stats.simulated
+
+    def test_results_align_with_points(self):
+        workloads = list(ALL_WORKLOADS[:2])
+        points = [
+            RunPoint(w, spec, QUICK)
+            for spec in (DVFS, None, BASELINE_SPEC)
+            for w in workloads
+        ]
+        results = ParallelRunner(jobs=1).run_points(points)
+        for point, result in zip(points, results):
+            assert result.benchmarks == point.workload.benchmarks
+            assert result.policy == (
+                point.spec.name if point.spec else "unthrottled"
+            )
+
+    def test_duplicates_and_memo_hits_are_not_resubmitted(self, monkeypatch):
+        runner = ParallelRunner(jobs=1)
+        batches = []
+        execute_plan = runner._execute_plan
+
+        def recording(points, trace, tracer):
+            batches.append(len(points))
+            return execute_plan(points, trace, tracer)
+
+        monkeypatch.setattr(runner, "_execute_plan", recording)
+        cached = RunPoint(ALL_WORKLOADS[0], BASELINE_SPEC, QUICK)
+        runner.run_points([cached])
+        fresh = [RunPoint(w, None, QUICK) for w in ALL_WORKLOADS[:2]]
+        runner.run_points([cached] + fresh + fresh)
+        assert batches == [1, 2]
+        runner.run_points([cached] + fresh)
+        assert batches == [1, 2]
+        assert runner.stats.simulated == 3
+
+    def test_map_cached_computes_a_repeated_payload_once(self):
+        a, b = quick_points(2)
+        runner = ParallelRunner(jobs=1)
+        COMPUTED.clear()
+        results = runner.map_cached("simulate", _simulate_payload, [a, b, a])
+        assert COMPUTED == [a, b]
+        assert results[0] is results[2]
+        assert results[1] is not results[0]
+        assert runner.stats.simulated == 2
+        assert runner.map_cached("simulate", _simulate_payload, [b]) == [
+            results[1]
+        ]
+        assert COMPUTED == [a, b]
+
+    @pytest.mark.parametrize("via", ["run_points", "map_cached"])
+    def test_fresh_memo_and_disk_serve_one_result(self, tmp_path, via):
+        """A point served freshly, from the memo and from the disk of a
+        new runner is the same result, and both entry points count the
+        three ways alike: one (hits, misses, simulated) lookup per
+        distinct key of a call."""
+        point = quick_points(1)[0]
+        reference = run_workload(point.workload, point.spec, point.config)
+
+        def serve(runner):
+            if via == "run_points":
+                return runner.run_points([point, point])
+            return runner.map_cached("simulate", _simulate_payload, [point, point])
+
+        first = ParallelRunner(cache=ResultCache(tmp_path), version="v")
+        fresh = serve(first)
+        assert self.counts(first) == (0, 1, 1)
+        reads = []
+        get = first.cache.get
+        first.cache.get = lambda key: reads.append(key) or get(key)
+        memo = serve(first)
+        assert self.counts(first) == (1, 1, 1)
+        assert reads == []
+        second = ParallelRunner(cache=ResultCache(tmp_path), version="v")
+        disk = serve(second)
+        assert self.counts(second) == (1, 0, 0)
+        assert fresh[0] is fresh[1] is memo[0] is memo[1]
+        assert disk[0] is disk[1]
+        assert fresh[0] == disk[0] == reference
+
+    def test_memo_hits_leave_hit_spans(self):
+        tracer = SpanRecorder()
+        runner = ParallelRunner(tracer=tracer)
+        point = quick_points(1)[0]
+        runner.run_points([point])
+        runner.run_points([point])
+        hits = [s for s in tracer.spans() if s.attrs.get("cache") == "hit"]
+        assert [s.name for s in hits] == [point.label]
+
+    def test_clear_memo(self):
+        runner = ParallelRunner()
+        runner.run_points(quick_points(2))
+        assert runner.clear_memo() == 2
+        assert runner.clear_memo() == 0
+        runner.run_points(quick_points(2))
+        assert runner.stats.simulated == 4
+
+
 class TestCacheConcurrency:
     """Two writers racing on one key must never tear or leak files."""
 
@@ -333,10 +446,14 @@ class TestObservability:
         runner = ParallelRunner(cache=cache, version="v", registry=registry)
         points = quick_points(2)
         runner.run_points(points)
+        # The memo answers the rerun: counted as cached, no disk read.
         runner.run_points(points)
+        ParallelRunner(
+            cache=cache, version="v", registry=registry
+        ).run_points(points)
         snap = registry.as_dict()
         assert snap["runner_points_simulated_total"] == 2
-        assert snap["runner_points_cached_total"] == 2
+        assert snap["runner_points_cached_total"] == 4
         assert snap["cache_misses_total"] == 2
         assert snap["cache_hits_total"] == 2
         assert snap["cache_puts_total"] == 2

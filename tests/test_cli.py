@@ -56,6 +56,20 @@ class TestRun:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--jobs", "-1"], "--jobs must be >= 0"),
+            (["--fleet-chunk", "0"], "--fleet-chunk must be >= 1"),
+            (["--fleet-chunk", "-2"], "--fleet-chunk must be >= 1"),
+        ],
+    )
+    def test_bad_runner_size_is_a_usage_error(self, flags, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--no-cache", *flags, "compare", "-d", "0.005"])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCompare:
     def test_compare_and_save(self, capsys, tmp_path):
