@@ -96,8 +96,9 @@ def _spec_order() -> List[PolicySpec]:
 #: All 12 combinations in Table 2 order (migration-major, global row first).
 ALL_POLICY_SPECS: Tuple[PolicySpec, ...] = tuple(_spec_order())
 
-#: The paper's baseline: distributed stop-go, no migration.
-BASELINE_SPEC = PolicySpec(ThrottleKind.STOP_GO, Scope.DISTRIBUTED, MigrationKind.NONE)
+#: The paper's baseline: distributed stop-go, no migration (the
+#: :data:`ALL_POLICY_SPECS` object of that cell).
+BASELINE_SPEC = next(spec for spec in ALL_POLICY_SPECS if spec.is_baseline)
 
 
 #: Token spellings accepted by :func:`spec_by_key` beyond the canonical
@@ -120,7 +121,8 @@ _KEY_ALIASES = {
 def spec_by_key(key: str) -> PolicySpec:
     """Look up a spec by its :attr:`PolicySpec.key`.
 
-    Exact keys always win; otherwise common alias spellings are accepted
+    The result is the :data:`ALL_POLICY_SPECS` object of the cell, so
+    every caller shares one object per cell. Exact keys always win; otherwise common alias spellings are accepted
     — axis tokens in any order, ``dist`` for ``distributed``, ``stopgo``
     for ``stop-go`` — so CLI users can type ``dvfs-dist-none`` for
     ``distributed-dvfs-none``.

@@ -26,16 +26,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.control.pi import PAPER_KI, PAPER_KP, design_pi
 from repro.core.dvfs import DVFSPolicy
-from repro.core.taxonomy import MigrationKind, PolicySpec, Scope, ThrottleKind
+from repro.core.taxonomy import PolicySpec, spec_by_key
 from repro.experiments.common import default_config, get_default_runner
 from repro.sim.engine import SimulationConfig, ThermalTimingSimulator
 from repro.sim.runner import RunPoint
 from repro.sim.workloads import get_workload
 from repro.util.tables import render_table
 
-_DSG = PolicySpec(ThrottleKind.STOP_GO, Scope.DISTRIBUTED, MigrationKind.NONE)
-_DDV = PolicySpec(ThrottleKind.DVFS, Scope.DISTRIBUTED, MigrationKind.NONE)
-_DSG_CTR = PolicySpec(ThrottleKind.STOP_GO, Scope.DISTRIBUTED, MigrationKind.COUNTER)
+_DSG = spec_by_key("distributed-stop-go-none")
+_DDV = spec_by_key("distributed-dvfs-none")
+_DSG_CTR = spec_by_key("distributed-stop-go-counter")
 
 #: Hot workloads used for the focused sweeps (full grid not needed).
 SWEEP_WORKLOADS = ("workload3", "workload7", "workload8")

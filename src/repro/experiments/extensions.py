@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.taxonomy import MigrationKind, PolicySpec, Scope, ThrottleKind
+from repro.core.taxonomy import spec_by_key
 from repro.experiments.common import default_config, get_default_runner
 from repro.sim.engine import SimulationConfig, ThermalTimingSimulator
 from repro.sim.results import RunResult
@@ -47,9 +47,9 @@ ASYMMETRIC_SIZES: Tuple[float, ...] = (5.0, 5.0, 2.65, 2.65)
 #: The study workload: two hot programs (gzip, sixtrack) + two cool ones.
 STUDY_BENCHMARKS: Tuple[str, ...] = ("gzip", "sixtrack", "mcf", "swim")
 
-_DDV = PolicySpec(ThrottleKind.DVFS, Scope.DISTRIBUTED, MigrationKind.NONE)
-_DDV_SENSOR = PolicySpec(ThrottleKind.DVFS, Scope.DISTRIBUTED, MigrationKind.SENSOR)
-_DDV_COUNTER = PolicySpec(ThrottleKind.DVFS, Scope.DISTRIBUTED, MigrationKind.COUNTER)
+_DDV = spec_by_key("distributed-dvfs-none")
+_DDV_SENSOR = spec_by_key("distributed-dvfs-sensor")
+_DDV_COUNTER = spec_by_key("distributed-dvfs-counter")
 
 #: SMT-2 chip: two cores holding the same total area as four 4 mm cores.
 SMT_CORE_SIZES: Tuple[float, ...] = (5.657, 5.657)

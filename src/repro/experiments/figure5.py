@@ -23,7 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.taxonomy import MigrationKind, PolicySpec, Scope, ThrottleKind
+from repro.core.taxonomy import spec_by_key
 from repro.experiments.common import default_config, get_default_runner
 from repro.obs.telemetry import TelemetrySampler
 from repro.sim.engine import SimulationConfig, run_workload
@@ -35,7 +35,7 @@ from repro.util.tables import render_table
 WORKLOAD_NAME = "workload7"
 
 #: Policy under which the figure is recorded.
-SPEC = PolicySpec(ThrottleKind.DVFS, Scope.DISTRIBUTED, MigrationKind.COUNTER)
+SPEC = spec_by_key("distributed-dvfs-counter")
 
 
 @dataclass(frozen=True)

@@ -12,16 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.core.taxonomy import MigrationKind, PolicySpec, Scope, ThrottleKind
+from repro.core.taxonomy import spec_by_key
 from repro.experiments.common import default_config, run_matrix
 from repro.sim.engine import SimulationConfig
 from repro.sim.workloads import ALL_WORKLOADS, Workload
 from repro.util.ascii_plot import bar_chart
 from repro.util.tables import render_table
 
-_BASE = PolicySpec(ThrottleKind.DVFS, Scope.DISTRIBUTED, MigrationKind.NONE)
-_COUNTER = PolicySpec(ThrottleKind.DVFS, Scope.DISTRIBUTED, MigrationKind.COUNTER)
-_SENSOR = PolicySpec(ThrottleKind.DVFS, Scope.DISTRIBUTED, MigrationKind.SENSOR)
+_BASE = spec_by_key("distributed-dvfs-none")
+_COUNTER = spec_by_key("distributed-dvfs-counter")
+_SENSOR = spec_by_key("distributed-dvfs-sensor")
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.core.taxonomy import (
-    MigrationKind,
-    PolicySpec,
-    Scope,
-    ThrottleKind,
-)
+from repro.core.taxonomy import spec_by_key
 from repro.experiments.common import (
     PolicyAverages,
     average_metrics,
@@ -27,11 +22,14 @@ from repro.sim.workloads import Workload
 from repro.util.tables import render_table
 
 #: The four non-migration policies, in the paper's row order.
-TABLE5_SPECS = (
-    PolicySpec(ThrottleKind.STOP_GO, Scope.GLOBAL, MigrationKind.NONE),
-    PolicySpec(ThrottleKind.STOP_GO, Scope.DISTRIBUTED, MigrationKind.NONE),
-    PolicySpec(ThrottleKind.DVFS, Scope.GLOBAL, MigrationKind.NONE),
-    PolicySpec(ThrottleKind.DVFS, Scope.DISTRIBUTED, MigrationKind.NONE),
+TABLE5_SPECS = tuple(
+    spec_by_key(key)
+    for key in (
+        "global-stop-go-none",
+        "distributed-stop-go-none",
+        "global-dvfs-none",
+        "distributed-dvfs-none",
+    )
 )
 
 #: The paper's published row values, keyed like our rows (for EXPERIMENTS.md).

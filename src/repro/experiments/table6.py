@@ -8,31 +8,23 @@ global DVFS 9.88 / 70.05% / 2.18X / 1.06; dist DVFS 11.62 / 82.42% /
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
-from repro.core.taxonomy import MigrationKind, PolicySpec, Scope, ThrottleKind
+from repro.core.taxonomy import MigrationKind, PolicySpec, spec_by_key
 from repro.experiments.common import (
     average_metrics,
     default_config,
     run_matrix,
 )
+from repro.experiments.table5 import TABLE5_SPECS
 from repro.sim.engine import SimulationConfig
 from repro.sim.workloads import Workload
 from repro.util.tables import render_table
 
-#: Base (non-migration) policies in the paper's Table 6 row order.
-BASE_SPECS = (
-    PolicySpec(ThrottleKind.STOP_GO, Scope.GLOBAL, MigrationKind.NONE),
-    PolicySpec(ThrottleKind.STOP_GO, Scope.DISTRIBUTED, MigrationKind.NONE),
-    PolicySpec(ThrottleKind.DVFS, Scope.GLOBAL, MigrationKind.NONE),
-    PolicySpec(ThrottleKind.DVFS, Scope.DISTRIBUTED, MigrationKind.NONE),
-)
-
-
 def with_migration(spec: PolicySpec, kind: MigrationKind) -> PolicySpec:
-    """The same base policy with a migration mechanism added."""
-    return PolicySpec(spec.throttle, spec.scope, kind)
+    """The taxonomy's cell of the same base policy with ``kind`` migration."""
+    return spec_by_key(replace(spec, migration=kind).key)
 
 
 @dataclass(frozen=True)
@@ -55,11 +47,11 @@ def compute(
 ) -> List[MigrationRow]:
     """Rows for migration policy ``kind`` over each base policy."""
     config = config or default_config()
-    migration_specs = [with_migration(s, kind) for s in BASE_SPECS]
-    grid = run_matrix(list(BASE_SPECS) + migration_specs, workloads, config)
+    migration_specs = [with_migration(s, kind) for s in TABLE5_SPECS]
+    grid = run_matrix(list(TABLE5_SPECS) + migration_specs, workloads, config)
     baseline = grid["distributed-stop-go-none"]
     rows = []
-    for base, mig in zip(BASE_SPECS, migration_specs):
+    for base, mig in zip(TABLE5_SPECS, migration_specs):
         avg = average_metrics(grid[mig.key], baseline, mig)
         base_avg = average_metrics(grid[base.key], baseline, base)
         rows.append(

@@ -3,8 +3,8 @@
 A *job request* names the same ingredients a direct
 :class:`~repro.sim.runner.ParallelRunner` call takes — workloads, a
 policy key, scalar configuration overrides — plus an optional sweep
-axis, and expands to the identical :class:`~repro.sim.runner.RunPoint`
-grid :func:`repro.sim.sweep.sweep_config_field` would build. Because
+axis, and expands to the :class:`~repro.sim.runner.RunPoint` grid a
+direct call would build from them (:meth:`JobRequest.run_points`). Because
 the server routes those points through an ordinary runner, a served
 result is bit-identical to a local run of the same request (the tests
 in ``tests/serve/test_server.py`` enforce this for both backends).
@@ -235,10 +235,10 @@ class JobRequest:
             raise ProtocolError(f"invalid configuration: {exc}") from None
 
     def run_points(self) -> List[RunPoint]:
-        """Expand to the grid a direct sweep call would build.
+        """Expand to the request's point grid.
 
-        Order matches :func:`repro.sim.sweep.sweep_config_field`: sweep
-        value major, workload minor.
+        One point per workload, or with a sweep one per sweep value and
+        workload: sweep value major, workload minor.
         """
         base = self.base_config()
         spec = spec_by_key(self.policy) if self.policy else None

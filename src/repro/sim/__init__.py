@@ -9,7 +9,6 @@ temperature-dependent leakage feeds back into the power input.
 * :mod:`repro.sim.engine` — the stepping engine and its configuration;
 * :mod:`repro.sim.metrics` — BIPS and adjusted-duty-cycle accounting;
 * :mod:`repro.sim.results` — result containers and time series;
-* :mod:`repro.sim.sweep` — parameter-sweep helpers (threshold ablation);
 * :mod:`repro.sim.runner` — parallel point execution + on-disk caching.
 """
 
@@ -23,7 +22,6 @@ from repro.sim.runner import (
     RunnerStats,
     config_hash,
 )
-from repro.sim.sweep import SweepPoint, best_point, sweep_config_field, sweep_policies
 from repro.sim.workloads import ALL_WORKLOADS, Workload, get_workload
 
 __all__ = [
@@ -35,13 +33,9 @@ __all__ = [
     "RunResult",
     "RunnerStats",
     "SimulationConfig",
-    "SweepPoint",
     "ThermalTimingSimulator",
     "Workload",
-    "best_point",
     "config_hash",
     "get_workload",
     "run_workload",
-    "sweep_config_field",
-    "sweep_policies",
 ]

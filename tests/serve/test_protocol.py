@@ -106,7 +106,7 @@ class TestParse:
 
 class TestRunPoints:
     def test_grid_matches_sweep_order(self):
-        """The expanded grid must equal sweep_config_field's, in order."""
+        """The expanded grid is sweep value major, workload minor."""
         request = JobRequest.parse(
             {
                 "workloads": ["workload1", "workload7"],

@@ -41,7 +41,7 @@ class TestCorruptEntries:
     def test_garbage_entry_is_unlinked_and_missed(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("aa11", {"x": 1})
-        path = cache._path("aa11")
+        path = Path(cache._path("aa11"))
         path.write_bytes(b"definitely not a pickle")
 
         assert cache.get("aa11") is None
@@ -56,7 +56,7 @@ class TestCorruptEntries:
     def test_truncated_pickle_is_unlinked(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("bb22", list(range(100)))
-        path = cache._path("bb22")
+        path = Path(cache._path("bb22"))
         path.write_bytes(path.read_bytes()[:-10])
 
         assert cache.get("bb22") is None
@@ -68,7 +68,7 @@ class TestCorruptEntries:
         cache.put("aa11", b"x" * 100)
         cache.put("ab22", b"y" * 100)
         before = cache.total_bytes
-        path = cache._path("aa11")
+        path = Path(cache._path("aa11"))
         path.write_bytes(b"junk")  # external corruption: untracked
         cache.get("aa11")
         # The unlink subtracts what was actually on disk (the 4 junk
@@ -137,8 +137,8 @@ class TestLRUEviction:
         cache = ResultCache(tmp_path, max_bytes=int(2.5 * size))
         cache.put("aa01", payload)
         cache.put("bb02", payload)
-        set_age(cache._path("aa01"), 100.0)
-        set_age(cache._path("bb02"), 50.0)
+        set_age(Path(cache._path("aa01")), 100.0)
+        set_age(Path(cache._path("bb02")), 50.0)
 
         cache.put("cc03", payload)  # over cap -> evict LRU (aa01)
         assert cache.get("aa01") is None
@@ -154,8 +154,8 @@ class TestLRUEviction:
         cache = ResultCache(tmp_path, max_bytes=int(2.5 * size))
         cache.put("aa01", payload)
         cache.put("bb02", payload)
-        set_age(cache._path("aa01"), 100.0)
-        set_age(cache._path("bb02"), 50.0)
+        set_age(Path(cache._path("aa01")), 100.0)
+        set_age(Path(cache._path("bb02")), 50.0)
         assert cache.get("aa01") == payload  # bumps aa01's mtime to now
 
         cache.put("cc03", payload)
@@ -181,7 +181,7 @@ class TestLRUEviction:
         )
         cache.put("aa01", payload)
         cache.put("bb02", payload)
-        set_age(cache._path("aa01"), 100.0)
+        set_age(Path(cache._path("aa01")), 100.0)
         cache.put("cc03", payload)
         cache.get("bb02")
         cache.get("aa01")
@@ -208,7 +208,7 @@ class TestLRUEviction:
 
         cache.put("aa01", payload)
         cache.put("bb02", payload)
-        set_age(cache._path("aa01"), 100.0)
+        set_age(Path(cache._path("aa01")), 100.0)
         cache.put("cc03", payload)  # evicts aa01
         expected = size / EVICTION_PRESSURE_WINDOW_S
         assert cache.eviction_pressure == pytest.approx(expected)
@@ -239,7 +239,7 @@ class TestLRUEviction:
         assert snapshot['cache_shard_bytes{shard="aa"}'] == size
         assert snapshot['cache_shard_bytes{shard="bb"}'] == size
 
-        set_age(cache._path("aa01"), 100.0)
+        set_age(Path(cache._path("aa01")), 100.0)
         cache.put("cc03", payload)  # evicts aa01, emptying shard aa
         snapshot = registry.as_dict()
         assert snapshot['cache_shard_bytes{shard="aa"}'] == 0

@@ -7,6 +7,7 @@ execute zero simulations.
 
 import dataclasses
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.experiments.common import (
     set_default_runner,
 )
 from repro.obs.tracing import KIND_POINT, SpanRecorder
+from repro.serve.protocol import JobRequest
 from repro.sim import runner as runner_module
 from repro.sim.engine import SimulationConfig, run_workload
 from repro.sim.runner import (
@@ -28,7 +30,6 @@ from repro.sim.runner import (
     config_hash,
     stable_hash,
 )
-from repro.sim.sweep import sweep_policies
 from repro.sim.workloads import ALL_WORKLOADS, get_workload
 
 QUICK = SimulationConfig(duration_s=0.01)
@@ -67,16 +68,17 @@ class TestSerialParallelEquivalence:
             assert result.workload == point.workload.name
 
     def test_sweep_parallel_matches_serial(self):
-        """The sweep entry point agrees across backends too."""
-        workloads = [get_workload("workload1"), get_workload("workload7")]
-        specs = [BASELINE_SPEC, DVFS]
-        serial = sweep_policies(specs, workloads, QUICK)
-        parallel = sweep_policies(
-            specs, workloads, QUICK, runner=ParallelRunner(jobs=2)
-        )
-        assert [p.value for p in serial] == [p.value for p in parallel]
-        for s, p in zip(serial, parallel):
-            assert s.results == p.results
+        """A served sweep's grid agrees across backends too."""
+        points = JobRequest.parse({
+            "workloads": ["workload1", "workload7"],
+            "policy": DVFS.key,
+            "config": {"duration_s": QUICK.duration_s},
+            "sweep": {"field": "threshold_c", "values": [80.0, 90.0]},
+        }).run_points()
+        serial = ParallelRunner(jobs=1).run_points(points)
+        parallel = ParallelRunner(jobs=2).run_points(points)
+        assert len(serial) == 4
+        assert serial == parallel
 
     def test_run_matrix_parallel_matches_serial(self):
         """The experiments' shared grid agrees across backends."""
@@ -143,7 +145,7 @@ class TestCache:
         point = quick_points(1)[0]
         key = config_hash(point, "v")
         cache.put(key, "placeholder")
-        path = cache._path(key)
+        path = Path(cache._path(key))
         path.write_bytes(garbage)
         runner = ParallelRunner(cache=ResultCache(tmp_path), version="v")
         result = runner.run_points([point])[0]
@@ -547,14 +549,16 @@ class TestPinnedCacheKeys:
         assert config_hash(point, version="pinned") == PINNED_KEYS[name]
 
     def test_warm_and_cold_table_keep_every_key(self, monkeypatch):
-        """Keys are the same whether the fragment table is warm, as in a
-        long-lived process, or cold, in any order and repeated."""
+        """Keys are the same whether the fragment and point-key tables
+        are warm, as in a long-lived process, or cold, in any order and
+        repeated."""
         points = list(_pinned_points().values())
         batch = points + points[::-1] + quick_points(3)
         warm = [config_hash(p, "pinned") for p in batch]
         cold = []
         for p in batch:
             monkeypatch.setattr(runner_module, "_FRAGMENTS", {})
+            monkeypatch.setattr(runner_module, "_POINT_KEYS", {})
             cold.append(config_hash(p, "pinned"))
         assert warm == cold
         assert warm[: len(PINNED_KEYS)] == [
