@@ -580,15 +580,15 @@ def _cmd_compare(args) -> int:
 def _cmd_experiment(args) -> int:
     import importlib
 
+    from repro.experiments.common import default_config
+
     module = importlib.import_module(f"repro.experiments.{args.name}")
     if args.duration is None or args.name == "table1":
         # Table 1 runs its own 900 s mobile protocol at any -d.
-        module.main()
-        return 0
-    from repro.experiments.common import default_config
-
-    config = default_config(duration_s=args.duration)
-    print(module.render(module.compute(config)))
+        data = module.compute()
+    else:
+        data = module.compute(default_config(duration_s=args.duration))
+    print(module.render(data))
     return 0
 
 

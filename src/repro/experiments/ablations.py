@@ -242,13 +242,3 @@ def render(data: Dict[str, Sequence[SweepPoint]]) -> str:
         for name, points in data.items()
     )
 
-
-def main() -> str:
-    """Compute and print every sweep."""
-    text = render(compute())
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

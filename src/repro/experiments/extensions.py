@@ -202,13 +202,3 @@ def render(data: Dict[str, Sequence[ExtensionRow]]) -> str:
         for name, rows in data.items()
     )
 
-
-def main() -> str:
-    """Compute and print every study."""
-    text = render(compute())
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

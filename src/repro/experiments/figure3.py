@@ -90,13 +90,3 @@ def render(rows: Sequence[Figure3Row]) -> str:
     )
     return table + "\n\nDist. DVFS vs baseline (| marks 1.0X):\n" + chart
 
-
-def main() -> str:
-    """Compute and print the figure data."""
-    text = render(compute())
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

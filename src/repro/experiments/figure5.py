@@ -167,13 +167,3 @@ def render(data: Figure5Data, n_rows: int = 24) -> str:
     )
     return table + "\n\n" + sketch
 
-
-def main() -> str:
-    """Compute and print the figure data."""
-    text = render(compute())
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

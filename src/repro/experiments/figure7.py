@@ -82,13 +82,3 @@ def render(rows: Sequence[Figure7Row]) -> str:
         "(| marks zero):\n" + chart
     )
 
-
-def main() -> str:
-    """Compute and print the figure data."""
-    text = render(compute())
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

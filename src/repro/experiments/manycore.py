@@ -175,13 +175,3 @@ def render(data: ManycoreData) -> str:
         )
     return "\n\n".join(sections)
 
-
-def main() -> str:
-    """Compute and print the many-core sweep."""
-    text = render(compute())
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

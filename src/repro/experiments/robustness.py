@@ -318,10 +318,3 @@ def render(report: RobustnessReport) -> str:
         )
     return "\n".join(parts)
 
-
-def main() -> None:
-    print(render(compute()))
-
-
-if __name__ == "__main__":
-    main()

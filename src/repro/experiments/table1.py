@@ -130,8 +130,8 @@ class Table1Point:
     seed: int
 
 
-def _measure_point(point: Table1Point) -> Tuple[np.ndarray, ...]:
-    """Runner task: each cohort member's diode readings (picklable, pure)."""
+def _measure_point(point: Table1Point) -> Tuple[Table1Row, ...]:
+    """Runner task: each cohort member's reported row (picklable, pure)."""
     temps = _diode_temperatures(
         point.benchmarks,
         point.duration_s,
@@ -140,7 +140,25 @@ def _measure_point(point: Table1Point) -> Tuple[np.ndarray, ...]:
         point.power_scale,
         point.seed,
     )
-    return tuple(_quantise(temps[:, i]) for i in range(temps.shape[1]))
+    return tuple(
+        _row(name, _quantise(temps[:, i]))
+        for i, name in enumerate(point.benchmarks)
+    )
+
+
+def _row(name: str, readings: np.ndarray) -> Table1Row:
+    """What Table 1 reports for one benchmark's quantised readings.
+
+    The first third is the ramp-up and is discarded; a stable benchmark
+    reports the median of the rest, an oscillating one its range.
+    """
+    profile = get_benchmark(name)
+    settle = readings[len(readings) // 3:]
+    if not profile.phase.is_oscillating:
+        steady = int(round(float(np.median(settle))))
+        return Table1Row(name, _category(profile), True, steady, None)
+    lo, hi = int(settle.min()), int(settle.max())
+    return Table1Row(name, _category(profile), False, None, (lo, hi))
 
 
 def _simulate_benchmark(
@@ -152,8 +170,10 @@ def _simulate_benchmark(
     seed: int,
 ) -> np.ndarray:
     """Diode readings (quantised, 1/dt Hz) while ``name`` runs alone."""
-    point = Table1Point((name,), duration_s, dt, package, power_scale, seed)
-    return _measure_point(point)[0]
+    temps = _diode_temperatures(
+        (name,), duration_s, dt, package, power_scale, seed
+    )
+    return _quantise(temps[:, 0])
 
 
 def _quantise(temperatures: np.ndarray) -> np.ndarray:
@@ -284,23 +304,8 @@ def compute(
         Table1Point(cohort, duration_s, dt, package, power_scale, seed)
         for cohort in cohorts
     ]
-    cohort_readings = runner.map_cached(
-        "table1-readings", _measure_point, points
-    )
-    all_readings = [r for readings in cohort_readings for r in readings]
-    rows = []
-    for name, readings in zip(names, all_readings):
-        profile = get_benchmark(name)
-        settle = readings[len(readings) // 3:]  # discard the ramp-up
-        stable = not profile.phase.is_oscillating
-        if stable:
-            steady = int(round(float(np.median(settle))))
-            row = Table1Row(name, _category(profile), True, steady, None)
-        else:
-            lo, hi = int(settle.min()), int(settle.max())
-            row = Table1Row(name, _category(profile), False, None, (lo, hi))
-        rows.append(row)
-    return rows
+    cohort_rows = runner.map_cached("table1-readings", _measure_point, points)
+    return [row for rows in cohort_rows for row in rows]
 
 
 def _category(profile) -> str:
@@ -338,13 +343,3 @@ def render(rows: Sequence[Table1Row]) -> str:
         )
     return "\n\n".join(parts)
 
-
-def main() -> str:
-    """Compute and print both sub-tables."""
-    text = render(compute())
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -66,13 +66,3 @@ def render(rows: Sequence[PolicyAverages]) -> str:
         title="Table 5: average throughput and duty cycle, non-migration policies",
     )
 
-
-def main() -> str:
-    """Compute and print the table (entry point for scripts)."""
-    text = render(compute())
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

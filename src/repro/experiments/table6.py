@@ -91,13 +91,3 @@ def render(rows: Sequence[MigrationRow]) -> str:
         title="Table 6: performance counter-based migration policies",
     )
 
-
-def main() -> str:
-    """Compute and print the table."""
-    text = render(compute())
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -83,13 +83,3 @@ def render(rows: Sequence[Table7Row]) -> str:
         title="Table 7: sensor-based migration policies",
     )
 
-
-def main() -> str:
-    """Compute and print the table."""
-    text = render(compute())
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -107,13 +107,3 @@ def render(grid: Table8Grid) -> str:
         title="Table 8: relative instruction throughput of all policy combinations",
     )
 
-
-def main() -> str:
-    """Compute and print the grid."""
-    text = render(compute())
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -166,12 +166,14 @@ class ServeExecutor:
 
     A fresh runner per execution keeps retry semantics clean (a broken
     process pool never leaks into the next attempt) and starts with an
-    empty memo and fleet substrate pool. What stays warm across jobs is
-    the shared ``cache`` and the process-wide memos of power traces
+    empty memo. What stays warm across jobs is the shared ``cache`` and
+    the process-wide tables: machine substrates
+    (:meth:`~repro.sim.engine.EngineSubstrate.shared`: floorplan,
+    factored thermal kernel, chip layout, fault masks), power traces
     (:func:`~repro.uarch.tracegen.generate_trace`), floorplans and RC
     networks. Runs on executor threads — everything here must be
-    thread-safe, which the sharded cache and the locked metrics registry
-    are.
+    thread-safe, which the sharded cache, the locked metrics registry
+    and the locked substrate table are.
     """
 
     def __init__(

@@ -24,6 +24,7 @@ OS migration loop.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -228,6 +229,45 @@ class SimulationConfig:
 logger = get_logger(__name__)
 
 
+def substrate_key(config: SimulationConfig) -> tuple:
+    """The key of the machine description a config's substrate builds.
+
+    It carries the scenario, so a batch mixing chip scenarios (e.g. a
+    mesh16 sweep next to a biglittle4+4 sweep) builds one ThermalKernel
+    per scenario and groups members accordingly.
+    """
+    return tuple(
+        map(
+            repr,
+            (
+                config.machine,
+                config.package,
+                config.core_sizes_mm,
+                config.scenario,
+            ),
+        )
+    )
+
+
+#: Most entries each of :data:`_SUBSTRATES` and :data:`_SUBSTRATE_IDS`
+#: holds; past it the oldest goes. A study uses a handful of chips (the
+#: paper's CMP, the asymmetric-core variants, the scenario presets).
+SUBSTRATE_TABLE_SIZE = 16
+
+#: ``substrate_key -> EngineSubstrate``: one substrate per machine
+#: description, oldest first.
+_SUBSTRATES: Dict[tuple, "EngineSubstrate"] = {}
+#: ``ids of (machine, package, core_sizes_mm, scenario) -> (those
+#: objects, substrate)``, oldest first. An entry holds its objects, so
+#: their ids cannot be reused while it lives, and its substrate is
+#: always one of :data:`_SUBSTRATES` (evicting a substrate drops its
+#: entries here).
+_SUBSTRATE_IDS: Dict[Tuple[int, ...], Tuple[tuple, "EngineSubstrate"]] = {}
+#: Guards every write to both tables; lookups read without it, and no
+#: substrate is built while it is held.
+_SUBSTRATES_LOCK = threading.Lock()
+
+
 class ThermalTimingSimulator:
     """Runs one workload under one DTM policy.
 
@@ -255,17 +295,13 @@ class ThermalTimingSimulator:
         event_log: Optional[RunEventLog] = None,
         profiler: Optional[StepProfiler] = None,
         telemetry: Optional[TelemetrySampler] = None,
-        substrate: Optional["EngineSubstrate"] = None,
     ):
         """Assemble the full simulated machine for one run.
 
-        ``substrate`` optionally shares construction-time artifacts
-        (floorplan, factored thermal kernel, generated traces) across
-        simulators of the same machine/package; it must match the
-        config's machine description. Every shared artifact is
-        deterministic in its inputs, so a substrate-built simulator is
-        bit-identical to a standalone one (asserted in
-        ``tests/sim/test_fleet.py``).
+        The floorplan, factored thermal kernel, chip layout and fault
+        masks come from the process-wide :meth:`EngineSubstrate.shared`
+        table, so every simulator of one machine description steps
+        through the same read-only parts.
         """
         self.config = config or SimulationConfig()
         self.event_log = event_log
@@ -286,28 +322,12 @@ class ThermalTimingSimulator:
         self.dt = machine.sample_period_s
         self.n_cores = machine.n_cores
 
-        # Substrates. A shared EngineSubstrate supplies the identical
-        # floorplan/kernel/layout/trace objects this block would
-        # otherwise build from scratch.
-        self._substrate = substrate
-        if substrate is not None:
-            substrate.check(self.config)
-            self.floorplan = substrate.floorplan
-            self.thermal = ThermalModel(
-                self.floorplan, substrate.package, self.dt, kernel=substrate.kernel
-            )
-            layout = substrate.layout
-        else:
-            scenario = self.config.scenario
-            self.floorplan = (
-                scenario.build_floorplan()
-                if scenario is not None
-                else build_cmp_floorplan(
-                    machine.n_cores, core_sizes_mm=self.config.core_sizes_mm
-                )
-            )
-            self.thermal = ThermalModel(self.floorplan, self.config.package, self.dt)
-            layout = _ChipLayout(self.floorplan, self.thermal.network, self.n_cores)
+        substrate = self._substrate = EngineSubstrate.shared(self.config)
+        self.floorplan = substrate.floorplan
+        self.thermal = ThermalModel(
+            self.floorplan, substrate.package, self.dt, kernel=substrate.kernel
+        )
+        layout = substrate.layout
         power_model = PowerModel(machine, scale=self.config.power_scale)
         scenario = self.config.scenario
         if scenario is not None:
@@ -337,22 +357,16 @@ class ThermalTimingSimulator:
             ]
         else:
             core_scales = [self.config.power_scale] * self.n_cores
-        if substrate is not None:
-            traces = [
-                substrate.trace(entry, self.config, power_scale=core_scales[i])
-                for i, entry in enumerate(self._profiles)
-            ]
-        else:
-            traces = [
-                generate_trace(
-                    entry,
-                    machine,
-                    duration_s=self.config.trace_duration_s,
-                    seed=self.config.seed,
-                    power_scale=core_scales[i],
-                )
-                for i, entry in enumerate(self._profiles)
-            ]
+        traces = [
+            generate_trace(
+                entry,
+                machine,
+                duration_s=self.config.trace_duration_s,
+                seed=self.config.seed,
+                power_scale=core_scales[i],
+            )
+            for i, entry in enumerate(self._profiles)
+        ]
         processes = [
             Process(pid=i, benchmark=name, trace=trace)
             for i, (name, trace) in enumerate(zip(self.benchmarks, traces))
@@ -394,11 +408,7 @@ class ThermalTimingSimulator:
                 units=HOTSPOT_UNITS,
                 seed=self.config.seed,
                 event_log=event_log,
-                masks=(
-                    substrate.fault_masks(plan)
-                    if substrate is not None
-                    else None
-                ),
+                masks=substrate.fault_masks(plan),
             )
             for c, actuator in enumerate(self.actuators):
                 actuator.fault_gate = self._faults.dvfs_gate_for(c)
@@ -456,16 +466,6 @@ class ThermalTimingSimulator:
         self._ssq_arr = np.empty(self.n_cores)
         self._ssq_col = self._ssq_arr[:, None]
         self._leak_mult = np.ones(net.n_blocks)
-        # Hot-loop views of the traces (see _TraceAux).
-        if substrate is not None:
-            self._trace_aux = {
-                p.pid: substrate.trace_aux(p.trace)
-                for p in self.scheduler.processes
-            }
-        else:
-            self._trace_aux = {
-                p.pid: _TraceAux(p.trace) for p in self.scheduler.processes
-            }
 
         #: Why the fused fast path (see run()) cannot be used (empty =
         #: eligible).
@@ -496,9 +496,9 @@ class ThermalTimingSimulator:
         """Block power vector at a uniform fraction of trace-mean power."""
         p = np.zeros(self.thermal.network.n_blocks)
         for c in range(self.n_cores):
-            aux = self._trace_aux[self.scheduler.process_on(c).pid]
-            p[self._core_unit_idx[c]] = aux.unit_power_mean * frac
-            act = aux.l2_activity_mean * frac
+            trace = self.scheduler.process_on(c).trace
+            p[self._core_unit_idx[c]] = trace.unit_power_mean * frac
+            act = trace.l2_activity_mean * frac
             p[self._l2_idx_list[c]] = self.config.power_scale * L2_BANK_PEAK_W * (
                 L2_IDLE_FRACTION + (1 - L2_IDLE_FRACTION) * act
             )
@@ -617,14 +617,26 @@ class ThermalTimingSimulator:
         window = self._window
         record_step = metrics.record_step
         process_on = self.scheduler.process_on
-        trace_aux = self._trace_aux
-        for aux in trace_aux.values():
-            aux.load_columns()
+        # Each trace's scalar columns as Python lists, built for this run
+        # only: list indexing hands back a float directly, several times
+        # cheaper than numpy 0-d extraction, and a Python float is the
+        # same number as the float64 it came from.
+        columns = {
+            p.pid: (
+                int(p.trace.n_samples),
+                p.trace.unit_power,
+                p.trace.l2_activity.tolist(),
+                p.trace.instructions.tolist(),
+                p.trace.int_rf_accesses.tolist(),
+                p.trace.fp_rf_accesses.tolist(),
+            )
+            for p in self.scheduler.processes
+        }
         actuators = self.actuators
         # Core -> process binding changes only when a migration executes,
         # which only happens inside _os_tick — refreshed there below.
         procs = [process_on(c) for c in range(n_cores)]
-        core_aux = [trace_aux[p.pid] for p in procs]
+        core_cols = [columns[p.pid] for p in procs]
         stall_until = self._stall_until
         hotspot_idx = self._hotspot_idx
         migration_due = self._migration_timer.fire_due
@@ -730,7 +742,7 @@ class ThermalTimingSimulator:
                 with sec_os_tick:
                     self._os_tick(t, temps)
                 procs = [process_on(c) for c in core_range]
-                core_aux = [trace_aux[p.pid] for p in procs]
+                core_cols = [columns[p.pid] for p in procs]
 
             # Inner loop: throttling.
             if throttle is None:
@@ -765,8 +777,10 @@ class ThermalTimingSimulator:
                 total_l2_act = 0.0
                 for c in core_range:
                     proc = procs[c]
-                    aux = core_aux[c]
-                    idx = int(proc.position) % aux.n_samples
+                    n_samples, unit_power, l2_col, instr_col, int_col, fp_col = (
+                        core_cols[c]
+                    )
+                    idx = int(proc.position) % n_samples
 
                     guard_scale = (
                         guards.override(c, t) if guards is not None else None
@@ -827,10 +841,10 @@ class ThermalTimingSimulator:
 
                     # Dynamic power: cubic DVFS scaling x active fraction.
                     dyn_arr[c] = (s ** 3) * (active / dt)
-                    unit_buf[c] = aux.unit_power[idx]
+                    unit_buf[c] = unit_power[idx]
 
                     # Shared structures driven by this core's traffic.
-                    l2_act = aux.l2_activity[idx] * s * (active / dt)
+                    l2_act = l2_col[idx] * s * (active / dt)
                     total_l2_act += l2_act
                     power[l2_idx[c]] = l2_base * (
                         L2_IDLE_FRACTION + (1 - L2_IDLE_FRACTION) * l2_act
@@ -846,11 +860,11 @@ class ThermalTimingSimulator:
                     # Process.advance inlined (their validation can never
                     # fire here — ``adv`` is in [0, 1] by construction —
                     # and the call overhead dominates at this rate).
-                    instr = aux.instructions[idx] * adv
+                    instr = instr_col[idx] * adv
                     ctr = proc.counters
                     ctr.instructions += instr
-                    ctr.int_rf_accesses += aux.int_rf[idx] * adv
-                    ctr.fp_rf_accesses += aux.fp_rf[idx] * adv
+                    ctr.int_rf_accesses += int_col[idx] * adv
+                    ctr.fp_rf_accesses += fp_col[idx] * adv
                     ctr.cycles += nominal_cycles
                     ctr.adjusted_cycles += nominal_cycles * adv
                     proc.position += adv
@@ -1221,57 +1235,6 @@ class ThermalTimingSimulator:
         )
 
 
-class _TraceAux:
-    """Hot-loop view of one power trace.
-
-    The stepwise loop reads scalar columns as plain Python lists — list
-    indexing hands back a float directly, several times cheaper than
-    numpy 0-d extraction — and ``n_samples`` is pinned as an ``int`` for
-    the position modulo in the step loop. Values are unchanged (a Python
-    float and the ``float64`` it came from are the same number), so
-    arithmetic downstream is bit-identical.
-
-    The lists cost about 1 MB per trace and only the scalar stepwise
-    loop reads them, so they stay ``None`` until that loop calls
-    :meth:`load_columns`; fused and fleet runs never build them.
-    """
-
-    __slots__ = (
-        "trace",
-        "n_samples",
-        "unit_power",
-        "unit_power_mean",
-        "l2_activity",
-        "l2_activity_mean",
-        "instructions",
-        "int_rf",
-        "fp_rf",
-    )
-
-    def __init__(self, trace):
-        """Pin the array fields of ``trace``; the lists come later."""
-        self.trace = trace
-        self.n_samples = int(trace.n_samples)
-        self.unit_power = trace.unit_power
-        # Trace-mean power, precomputed once: the warm-start bisection
-        # evaluates these means up to a dozen times per run, and at
-        # full-trace length each fresh `.mean()` costs more than an
-        # engine step.
-        self.unit_power_mean = trace.unit_power.mean(axis=0)
-        self.l2_activity_mean = float(trace.l2_activity.mean())
-        self.l2_activity = self.instructions = None
-        self.int_rf = self.fp_rf = None
-
-    def load_columns(self) -> None:
-        """Extract the scalar columns to lists, once per trace."""
-        if self.instructions is None:
-            trace = self.trace
-            self.l2_activity = trace.l2_activity.tolist()
-            self.instructions = trace.instructions.tolist()
-            self.int_rf = trace.int_rf_accesses.tolist()
-            self.fp_rf = trace.fp_rf_accesses.tolist()
-
-
 class _TrendWindow:
     """Accumulates sensor statistics between OS ticks."""
 
@@ -1348,9 +1311,8 @@ class _ChipLayout:
     Index arrays into the network and the leakage weights of the
     floorplan: pure functions of the floorplan and core count, built
     once per :class:`EngineSubstrate` and shared by every simulator on
-    it. A standalone simulator builds its own through this same
-    constructor. Every array is read-only (``flags.writeable`` is
-    off), so no simulator can perturb another's through a shared one.
+    it. Every array is read-only (``flags.writeable`` is off), so no
+    simulator can perturb another's through a shared one.
     """
 
     __slots__ = (
@@ -1401,7 +1363,7 @@ class _ChipLayout:
 
 
 class EngineSubstrate:
-    """Shared construction-time substrate for many simulators of one chip.
+    """The parts of a simulator that depend only on its chip.
 
     Holds everything about a simulator that is a pure deterministic
     function of the machine description rather than of any one run, so
@@ -1409,137 +1371,90 @@ class EngineSubstrate:
 
     * the floorplan and the factored
       :class:`~repro.thermal.model.ThermalKernel` (network + LU +
-      propagator cache), so ``expm`` runs once, not per simulator;
+      propagator cache), so ``expm`` runs once per chip, not per
+      simulator;
     * the chip layout (:attr:`layout`): the network index arrays of
       core units, hotspot sensors, L2 banks and crossbar (with the
       check that they partition the blocks), and the floorplan's
       leakage area x density weights and their sum;
     * the sensor-fault channel masks of each fault plan
-      (:meth:`fault_masks`);
-    * generated power traces with their :class:`_TraceAux` hot-loop
-      views (:meth:`trace`, :meth:`trace_aux`).
+      (:meth:`fault_masks`).
+
+    Substrates come only from :meth:`shared`, one per machine
+    description (machine, package, core sizes and scenario) per
+    process; per-run knobs (duration, threshold, seed, power scale,
+    trace duration, fault plan) vary freely on one substrate. Traces
+    are not held here: ``generate_trace``'s module memo keeps each one.
 
     Shared arrays are read-only: ``flags.writeable`` is off, so a write
     through any simulator raises instead of silently changing its
-    neighbours. Because every shared artifact is deterministic in its
-    key, substrate-built simulators are bit-identical to standalone
-    ones, which build the same parts through the same helpers.
-
-    A substrate is compatible with a :class:`SimulationConfig` iff the
-    machine, package, core sizes and scenario agree (:meth:`matches`);
-    per-run knobs (duration, threshold, seed, power scale, trace
-    duration, fault plan) vary freely — traces are cached per
-    (benchmark, trace duration, seed, effective power scale).
+    neighbours. Every part is deterministic in :attr:`key`, so a
+    substrate built again after an eviction gives bit-identical runs.
     """
 
-    def __init__(
-        self,
-        machine: Optional[MachineConfig] = None,
-        package: ThermalPackage = HIGH_PERFORMANCE_PACKAGE,
-        core_sizes_mm: Optional[Tuple[float, ...]] = None,
-        scenario: Optional[Scenario] = None,
-    ):
+    def __init__(self, config: SimulationConfig, key: tuple):
         """Build the floorplan and factor the thermal kernel once."""
-        self.machine = machine if machine is not None else _DEFAULT_MACHINE
-        self.package = package
-        self.core_sizes_mm = core_sizes_mm
-        self.scenario = scenario
+        self.key = key
+        self.machine = config.machine
+        self.package = config.package
+        scenario = config.scenario
         self.floorplan = (
             scenario.build_floorplan()
             if scenario is not None
             else build_cmp_floorplan(
-                self.machine.n_cores, core_sizes_mm=core_sizes_mm
+                self.machine.n_cores, core_sizes_mm=config.core_sizes_mm
             )
         )
-        self.kernel = ThermalKernel(self.floorplan, package)
+        self.kernel = ThermalKernel(self.floorplan, self.package)
         # Pre-warm the propagator every simulator on this machine needs.
         self.kernel.operator_for(self.machine.sample_period_s)
         self.layout = _ChipLayout(
             self.floorplan, self.kernel.network, self.machine.n_cores
         )
-        self._traces: Dict[tuple, object] = {}
-        # Hot-loop views of the cached traces, by trace id. Only traces
-        # held in _traces get an entry, and those live as long as the
-        # substrate, so an id here can never be reused by another trace.
-        self._aux: Dict[int, _TraceAux] = {}
         self._fault_masks: Dict[FaultPlan, Dict[int, np.ndarray]] = {}
 
     @classmethod
-    def for_config(cls, config: SimulationConfig) -> "EngineSubstrate":
-        """A substrate matching ``config``'s machine description."""
-        return cls(
+    def shared(cls, config: SimulationConfig) -> "EngineSubstrate":
+        """The process-wide substrate of ``config``'s machine description.
+
+        Looked up first by the identities of the config's machine,
+        package, core sizes and scenario (a sweep's configs share those
+        objects), and only then by :func:`substrate_key`, the ``repr``
+        of the whole description. A missing substrate is built outside
+        the lock; if two threads build one at once, the first to store
+        it wins and both return that one. Past
+        :data:`SUBSTRATE_TABLE_SIZE` the oldest entry goes.
+        """
+        parts = (
             config.machine,
             config.package,
             config.core_sizes_mm,
-            scenario=config.scenario,
+            config.scenario,
         )
-
-    def matches(self, config: SimulationConfig) -> bool:
-        """Whether this substrate can build simulators for ``config``."""
-        return all(
-            mine is theirs or mine == theirs
-            for mine, theirs in (
-                (self.machine, config.machine),
-                (self.package, config.package),
-                (self.core_sizes_mm, config.core_sizes_mm),
-                (self.scenario, config.scenario),
-            )
-        )
-
-    def check(self, config: SimulationConfig) -> None:
-        """Raise ``ValueError`` unless :meth:`matches` holds."""
-        if not self.matches(config):
-            raise ValueError(
-                "EngineSubstrate does not match the run config: the "
-                "machine, package, core_sizes_mm and scenario must all "
-                "be equal"
-            )
-
-    def trace(self, entry, config: SimulationConfig, power_scale=None):
-        """The (cached) power trace for one benchmark under ``config``.
-
-        ``power_scale`` overrides the config's chip-level scale (the
-        engine passes per-core effective scales under a scenario);
-        ``None`` uses ``config.power_scale``. Only string benchmark
-        names are cached; profile objects (the SMT extension) are
-        regenerated per call.
-        """
-        scale = config.power_scale if power_scale is None else power_scale
-        if not isinstance(entry, str):
-            return generate_trace(
-                entry,
-                self.machine,
-                duration_s=config.trace_duration_s,
-                seed=config.seed,
-                power_scale=scale,
-            )
-        key = (
-            entry,
-            float(config.trace_duration_s),
-            int(config.seed),
-            float(scale),
-        )
-        trace = self._traces.get(key)
-        if trace is None:
-            trace = generate_trace(
-                entry,
-                self.machine,
-                duration_s=config.trace_duration_s,
-                seed=config.seed,
-                power_scale=scale,
-            )
-            self._traces[key] = trace
-            self._aux[id(trace)] = _TraceAux(trace)
-        return trace
-
-    def trace_aux(self, trace) -> _TraceAux:
-        """The hot-loop view of a trace produced by :meth:`trace`.
-
-        Cached for the traces the substrate caches; a trace of a profile
-        object is not cached, so its view is built afresh.
-        """
-        aux = self._aux.get(id(trace))
-        return aux if aux is not None else _TraceAux(trace)
+        ident = tuple(map(id, parts))
+        hit = _SUBSTRATE_IDS.get(ident)
+        if hit is not None:
+            return hit[1]
+        key = substrate_key(config)
+        substrate = _SUBSTRATES.get(key)
+        if substrate is None:
+            substrate = cls(config, key)
+        with _SUBSTRATES_LOCK:
+            stored = _SUBSTRATES.get(key)
+            if stored is not None:
+                substrate = stored
+            else:
+                _SUBSTRATES[key] = substrate
+                while len(_SUBSTRATES) > SUBSTRATE_TABLE_SIZE:
+                    gone = _SUBSTRATES.pop(next(iter(_SUBSTRATES)))
+                    for stale in [
+                        i for i, (_, s) in _SUBSTRATE_IDS.items() if s is gone
+                    ]:
+                        del _SUBSTRATE_IDS[stale]
+            _SUBSTRATE_IDS[ident] = (parts, substrate)
+            while len(_SUBSTRATE_IDS) > SUBSTRATE_TABLE_SIZE:
+                del _SUBSTRATE_IDS[next(iter(_SUBSTRATE_IDS))]
+        return substrate
 
     def fault_masks(self, plan: FaultPlan) -> Dict[int, np.ndarray]:
         """The (cached, read-only) sensor-fault channel masks of ``plan``."""

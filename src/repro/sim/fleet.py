@@ -42,7 +42,11 @@ full 12-policy taxonomy). Four design rules make that possible:
   permuted to follow its new assignment.
 * Control *decisions* with heavy branching (OS ticks: thermal-table
   folds, migration proposals, scheduler moves) are not re-implemented.
-  Each fleet member owns a real scalar simulator; at its OS tick the
+  Each fleet member owns a real scalar simulator, built as any other
+  on its machine's entry of the process-wide substrate table
+  (:meth:`~repro.sim.engine.EngineSubstrate.shared`), so every member
+  of one chip steps through the same floorplan, factored kernel and
+  chip layout as a scalar run of it; at its OS tick the
   batched state is written into the member's real policy objects, the
   member's real ``_os_tick`` runs, and the mutated state is read back.
   Ticks are rare (every ~360 steps), so the sync cost is negligible —
@@ -103,7 +107,6 @@ from repro.faults.injector import FleetFaultInjector
 from repro.obs.telemetry import TelemetrySampler
 from repro.osmodel.timer import FIRE_SLACK_S
 from repro.sim.engine import (
-    EngineSubstrate,
     SimulationConfig,
     ThermalTimingSimulator,
     fusion_blockers,
@@ -169,37 +172,18 @@ def fleet_blockers(config: SimulationConfig) -> Tuple[str, ...]:
     return tuple(blockers)
 
 
-def substrate_key(config: SimulationConfig) -> tuple:
-    """The key of the machine description a config's substrate builds.
-
-    It carries the scenario, so a batch mixing chip scenarios (e.g. a
-    mesh16 sweep next to a biglittle4+4 sweep) builds one ThermalKernel
-    per scenario and groups members accordingly.
-    """
-    return tuple(
-        map(
-            repr,
-            (
-                config.machine,
-                config.package,
-                config.core_sizes_mm,
-                config.scenario,
-            ),
-        )
-    )
-
-
 def lockstep_key(
     spec: Optional[PolicySpec], config: SimulationConfig, substrate
 ) -> tuple:
     """Lockstep-compatibility key: points with equal keys step together.
 
-    ``substrate`` identifies the point's machine description (the
-    engine passes its substrate's ``id``, the runner's planner a
-    :func:`substrate_key`). A machine's points form at most two groups:
-    the fusable ones and the stepwise ones, every throttle family
-    together (the stepwise loop runs only its throttle stage per
-    throttle kind, whatever the scope). :func:`stepwise_riders` then
+    ``substrate`` identifies the point's machine description: the
+    engine and the runner's planner both pass the
+    :attr:`~repro.sim.engine.EngineSubstrate.key` of its shared
+    substrate. A machine's points form at most two groups: the fusable
+    ones and the stepwise ones, every throttle family together (the
+    stepwise loop runs only its throttle stage per throttle kind,
+    whatever the scope). :func:`stepwise_riders` then
     moves the fusable points that ride the stepwise group into it; the
     key alone cannot say which, since riding depends on the group's
     width and horizons. A DVFS member's controller design and per-core
@@ -318,9 +302,6 @@ class FleetEngine:
             ``members``; ``None`` entries for unsampled members). Each
             sampler binds to its member's real simulator and observes
             exactly the series a scalar run would produce.
-        substrates: Optional pre-built substrate pool to extend/reuse
-            (keyed internally; pass the same dict across engines to
-            share traces between batches).
 
     Raises:
         FleetIncompatibleError: If any member's config has
@@ -332,7 +313,6 @@ class FleetEngine:
         members: Sequence,
         *,
         telemetry: Optional[Sequence[Optional[TelemetrySampler]]] = None,
-        substrates: Optional[Dict[tuple, EngineSubstrate]] = None,
     ):
         if not members:
             raise ValueError("fleet batch must contain at least one member")
@@ -354,13 +334,8 @@ class FleetEngine:
                 f"through the ParallelRunner fallback ({detail})"
             )
 
-        self._substrates: Dict[tuple, EngineSubstrate] = (
-            substrates if substrates is not None else {}
-        )
-        self._by_identity: Dict[tuple, Tuple[tuple, EngineSubstrate]] = {}
         self.members: List[_Member] = []
         for i, (workload, spec, config) in enumerate(parsed):
-            substrate = self._substrate_for(config)
             sampler = telemetry[i] if telemetry is not None else None
             benchmarks = (
                 workload.benchmarks if workload is not None else None
@@ -372,46 +347,17 @@ class FleetEngine:
                 spec,
                 config,
                 telemetry=sampler,
-                substrate=substrate,
             )
             self.members.append(_Member(i, workload, sim, config.n_steps))
 
     # -- assembly ----------------------------------------------------------
-
-    def _substrate_for(self, config: SimulationConfig) -> EngineSubstrate:
-        """The shared substrate for a config's machine description.
-
-        Sweeps share their machine description objects (default configs
-        share one frozen ``MachineConfig``), so a lookup by the identity
-        of those objects comes first; only an unseen combination pays
-        for :func:`substrate_key`, the ``repr`` of the whole machine
-        tree. The identity memo keeps the objects alive, so their ids
-        cannot be reused while the engine exists.
-        """
-        parts = (
-            config.machine,
-            config.package,
-            config.core_sizes_mm,
-            config.scenario,
-        )
-        ident = tuple(map(id, parts))
-        hit = self._by_identity.get(ident)
-        if hit is not None:
-            return hit[1]
-        key = substrate_key(config)
-        substrate = self._substrates.get(key)
-        if substrate is None:
-            substrate = EngineSubstrate.for_config(config)
-            self._substrates[key] = substrate
-        self._by_identity[ident] = (parts, substrate)
-        return substrate
 
     def _warm_key(self, member: _Member) -> tuple:
         """Warm-start sharing key: members with equal keys get equal states."""
         cfg = member.sim.config
         frac = cfg.warm_start_fraction
         return (
-            id(member.sim._substrate),
+            member.sim._substrate.key,
             member.sim.benchmarks,
             float(cfg.trace_duration_s),
             int(cfg.seed),
@@ -443,7 +389,7 @@ class FleetEngine:
         groups: Dict[tuple, List[_Member]] = {}
         for member in self.members:
             sim = member.sim
-            key = lockstep_key(sim.spec, sim.config, id(sim._substrate))
+            key = lockstep_key(sim.spec, sim.config, sim._substrate.key)
             groups.setdefault(key, []).append(member)
         for (machine, kind), fusable in groups.items():
             stepwise = groups.get((machine, "stepwise"))

@@ -65,7 +65,7 @@ from repro.obs.tracing import (
     finished_span,
     section_spans,
 )
-from repro.sim.engine import SimulationConfig, run_workload
+from repro.sim.engine import EngineSubstrate, SimulationConfig, run_workload
 from repro.sim.results import RunResult
 from repro.sim.workloads import Workload
 
@@ -844,9 +844,7 @@ def _run_scalar(
 
 
 def _run_fleet(
-    points: Sequence[RunPoint],
-    parent: Optional[TraceContext],
-    substrates: Dict[tuple, object],
+    points: Sequence[RunPoint], parent: Optional[TraceContext]
 ) -> List[Tuple[RunResult, float, List[Span]]]:
     """Step ``points`` in one :class:`~repro.sim.fleet.FleetEngine`.
 
@@ -865,7 +863,7 @@ def _run_fleet(
     ) as group:
         started = time.time()
         t0 = time.perf_counter()
-        engine = FleetEngine(points, substrates=substrates)
+        engine = FleetEngine(points)
         results = engine.run()
         per_point = (time.perf_counter() - t0) / len(points)
     if group.context is not None:
@@ -884,20 +882,15 @@ def _run_fleet(
 
 def _run_task(
     item: Tuple[Sequence[RunPoint], str, Optional[TraceContext]],
-    substrates: Optional[Dict[tuple, object]] = None,
 ) -> List[Tuple[RunResult, float, List[Span]]]:
     """Process-pool task: one planned task -> one output per point.
 
     A task is ``(points, reason, parent)``: a fleet chunk when
     ``reason`` is :data:`REASON_LOCKSTEP`, else one scalar point.
-    ``substrates`` is the fleet's substrate pool; a worker starts an
-    empty one per task.
     """
     points, reason, parent = item
     if reason == REASON_LOCKSTEP:
-        return _run_fleet(
-            points, parent, substrates if substrates is not None else {}
-        )
+        return _run_fleet(points, parent)
     return [_run_scalar(points[0], parent, reason)]
 
 
@@ -1007,9 +1000,6 @@ class ParallelRunner:
         self.cache = cache
         self.backend = backend
         self.fleet_chunk = fleet_chunk
-        #: Substrate pool shared across fleet batches so traces and the
-        #: thermal kernel are built once per machine description.
-        self._fleet_substrates: Dict[tuple, object] = {}
         #: Every value served so far, by its cache key.
         self._memo: Dict[str, object] = {}
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -1249,14 +1239,12 @@ class ParallelRunner:
             live_width,
             lockstep_key,
             stepwise_riders,
-            substrate_key,
         )
 
         if self.backend == "pool":
             return [([i], REASON_POOL_BACKEND) for i in range(len(points))]
         auto = self.backend == "auto"
         groups: Dict[Optional[tuple], List[int]] = {}
-        machines: Dict[tuple, tuple] = {}
         scalar: List[Tuple[List[int], str]] = []
         for i, point in enumerate(points):
             cfg = point.config
@@ -1266,14 +1254,7 @@ class ParallelRunner:
                 continue
             key = None
             if auto:
-                # The points outlive the plan, so their ids are stable.
-                ident = (
-                    id(cfg.machine), id(cfg.package),
-                    id(cfg.core_sizes_mm), id(cfg.scenario),
-                )
-                machine = machines.get(ident)
-                if machine is None:
-                    machine = machines[ident] = substrate_key(cfg)
+                machine = EngineSubstrate.shared(cfg).key
                 key = lockstep_key(point.spec, cfg, machine)
             groups.setdefault(key, []).append(i)
 
@@ -1350,9 +1331,10 @@ class ParallelRunner:
         """Run ``points`` by :meth:`_plan`; outputs align with ``points``.
 
         Each output is ``(result, elapsed_s, spans, reason)``.
-        With ``jobs == 1`` (or a single task) every task runs inline,
-        fleet chunks sharing the runner's substrate pool; otherwise the
-        tasks, fleet chunks first, go through one process pool.
+        With ``jobs == 1`` (or a single task) every task runs inline;
+        otherwise the tasks, fleet chunks first, go through one process
+        pool. Either way each process builds a machine's parts once, in
+        :meth:`EngineSubstrate.shared`.
         """
         tasks = self._plan(points)
         items = [
@@ -1360,9 +1342,7 @@ class ParallelRunner:
             for idxs, reason in tasks
         ]
         if self.jobs == 1 or len(items) == 1:
-            task_outputs = [
-                _run_task(item, self._fleet_substrates) for item in items
-            ]
+            task_outputs = [_run_task(item) for item in items]
         else:
             task_outputs = self._execute(items, _run_task)
         outputs: List[Optional[Tuple]] = [None] * len(points)

@@ -27,6 +27,7 @@ kernel and pays for ``expm`` exactly once.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -137,7 +138,9 @@ class ThermalKernel:
     instance can back any number of :class:`ThermalModel` chips — every
     model handed the same kernel reuses the same :class:`StepOperator`
     objects (one ``expm`` per distinct step size, ever) and therefore
-    steps through literally the same matrices.
+    steps through literally the same matrices. Models on other threads
+    may share it too: solves through its LU factorization take a lock
+    (see :meth:`_solve`).
     """
 
     def __init__(self, floorplan: Floorplan, package: ThermalPackage):
@@ -146,8 +149,21 @@ class ThermalKernel:
         self.package = package
         self.network: RCNetwork = build_rc_network(floorplan, package)
         self._g_lu = lu_factor(self.network.conductance)
+        self._solve_lock = threading.Lock()
         self._c_inv = 1.0 / self.network.capacitance
         self._propagators: Dict[str, StepOperator] = {}
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``G^-1 rhs`` through the kernel's LU factorization.
+
+        SciPy's ``getrs`` wrapper shifts the pivot array to 1-based
+        indices in place while the GIL is released, so two threads
+        solving on one factorization at once read each other's shifted
+        pivots and write out of bounds (glibc aborts with a corrupted
+        heap). The lock serialises the solves of one kernel.
+        """
+        with self._solve_lock:
+            return lu_solve(self._g_lu, rhs)
 
     def operator_for(self, dt: float) -> StepOperator:
         """The cached affine :class:`StepOperator` for a step size.
@@ -167,7 +183,7 @@ class ThermalKernel:
             a_d = expm(-(self._c_inv[:, None] * self.network.conductance) * dt)
             # (I - A) G^-1, one column solve per node, reusing the LU
             # factorization steady_state already carries.
-            g_inv = lu_solve(self._g_lu, np.eye(n))
+            g_inv = self._solve(np.eye(n))
             input_map = (np.eye(n) - a_d) @ g_inv
             c_amb = input_map[:, -1] * (
                 self.network.ambient_conductance * self.network.ambient_c
@@ -181,7 +197,7 @@ class ThermalKernel:
     def steady_state(self, block_power_w: Sequence[float]) -> np.ndarray:
         """Steady-state node temperatures under constant block powers."""
         u = self.network.input_vector(np.asarray(block_power_w, dtype=float))
-        return lu_solve(self._g_lu, u)
+        return self._solve(u)
 
 
 class ThermalModel:

@@ -17,6 +17,7 @@ advances at the frequency-scale rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict
 
 import numpy as np
@@ -84,6 +85,25 @@ class PowerTrace:
             "int_rf_accesses": float(self.int_rf_accesses[i]),
             "fp_rf_accesses": float(self.fp_rf_accesses[i]),
         }
+
+    # Trace means, computed once per trace: the engine's warm-start
+    # bisection reads them up to a dozen times a run, and at full-trace
+    # length each fresh ``.mean()`` costs more than an engine step.
+    # ``cached_property`` keeps them in the instance ``__dict__``, past
+    # the frozen dataclass's ``__setattr__``; equality and hashing still
+    # see only the fields.
+
+    @cached_property
+    def unit_power_mean(self) -> np.ndarray:
+        """Per-unit dynamic power averaged over the trace (read-only)."""
+        mean = self.unit_power.mean(axis=0)
+        mean.flags.writeable = False
+        return mean
+
+    @cached_property
+    def l2_activity_mean(self) -> float:
+        """L2 activity averaged over the trace."""
+        return float(self.l2_activity.mean())
 
     @property
     def mean_core_power_w(self) -> float:

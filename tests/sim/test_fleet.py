@@ -528,24 +528,32 @@ class TestScenarioBitIdentity:
             assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
 
+@pytest.fixture
+def empty_table(monkeypatch):
+    """The shared substrate table, emptied for one test."""
+    from repro.sim import engine
+
+    monkeypatch.setattr(engine, "_SUBSTRATES", {})
+    monkeypatch.setattr(engine, "_SUBSTRATE_IDS", {})
+    return engine
+
+
 class TestSubstrateSharing:
-    """Members of one substrate share its read-only parts by identity."""
+    """Simulators of one machine share its table entry's read-only parts."""
 
     def _pair(self):
         from repro.sim.engine import EngineSubstrate
 
         plan = _bench_fault_plan(0.004)
         cfg = SimulationConfig(duration_s=0.004, fault_plan=plan)
-        substrate = EngineSubstrate.for_config(cfg)
         spec = spec_by_key("distributed-dvfs-none")
         sims = [
             ThermalTimingSimulator(
-                W7.benchmarks, spec, replace(cfg, threshold_c=t),
-                substrate=substrate,
+                W7.benchmarks, spec, replace(cfg, threshold_c=t)
             )
             for t in (82.0, 84.0)
         ]
-        return substrate, sims
+        return EngineSubstrate.shared(cfg), sims
 
     @staticmethod
     def _shared(sim):
@@ -558,9 +566,11 @@ class TestSubstrateSharing:
 
     def test_members_share_parts_by_identity(self):
         substrate, (a, b) = self._pair()
+        assert a._substrate is b._substrate is substrate
         for x, y in zip(self._shared(a), self._shared(b)):
             assert x is y
         assert a._l2_idx_list is b._l2_idx_list
+        assert a.thermal.kernel is b.thermal.kernel is substrate.kernel
         assert a.leakage.reference_w is not b.leakage.reference_w
         np.testing.assert_array_equal(
             a.leakage.reference_w, b.leakage.reference_w
@@ -582,10 +592,16 @@ class TestSubstrateSharing:
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
 
-    def test_shared_parts_equal_standalone_ones(self):
-        """A standalone simulator builds the same values itself."""
+    def test_shared_parts_equal_standalone_ones(self, monkeypatch):
+        """A substrate built again on an emptied table has equal parts."""
+        from repro.sim import engine
+
         _, (a, _) = self._pair()
+        monkeypatch.setattr(engine, "_SUBSTRATES", {})
+        monkeypatch.setattr(engine, "_SUBSTRATE_IDS", {})
         alone = ThermalTimingSimulator(W7.benchmarks, a.spec, a.config)
+        assert alone._substrate is not a._substrate
+        assert alone._substrate.key == a._substrate.key
         for x, y in zip(self._shared(a)[:3], self._shared(alone)[:3]):
             assert x is not y
             np.testing.assert_array_equal(x, y)
@@ -595,14 +611,17 @@ class TestSubstrateSharing:
             alone.leakage.reference_w, a.leakage.reference_w
         )
 
-    def test_fleet_finds_default_machine_by_identity(self):
-        """Default configs share one machine object, and one substrate."""
+    def test_fleet_finds_default_machine_by_identity(self, empty_table):
+        """Default configs share one machine object, and one substrate,
+        found by identity after the first lookup."""
         configs = [SimulationConfig(duration_s=0.002, threshold_c=t)
                    for t in (80.0, 81.0, 82.0)]
         assert all(c.machine is configs[0].machine for c in configs)
         engine = FleetEngine([(W7, None, c) for c in configs])
         substrates = {id(m.sim._substrate) for m in engine.members}
         assert len(substrates) == 1
+        assert len(empty_table._SUBSTRATES) == 1
+        assert len(empty_table._SUBSTRATE_IDS) == 1
 
     def test_sensor_stream_created_on_first_use(self):
         quiet = ThermalTimingSimulator(W7.benchmarks, None, CFG)
@@ -614,54 +633,51 @@ class TestSubstrateSharing:
         assert "_sensor_rng" in vars(noisy)
 
     def test_profile_trace_views_never_go_stale(self):
-        """Traces of profile objects are not cached by the substrate, so
-        once a simulator is freed a new trace may reuse a freed trace's
-        id; the second simulator must still see its own traces."""
+        """Trace means live on each trace, so once a simulator and its
+        traces are freed, a second simulator whose traces may reuse
+        their ids still warm-starts from its own traces."""
         import gc
 
-        from repro.sim.engine import EngineSubstrate
         from repro.uarch.benchmarks import get_benchmark
         from repro.uarch.tracegen import clear_trace_cache
 
-        substrate = EngineSubstrate()
         first = [get_benchmark(b) for b in ("gcc", "gzip", "mcf", "vpr")]
         second = [get_benchmark(b) for b in ("art", "swim", "lucas", "mgrid")]
-        sim = ThermalTimingSimulator(first, None, CFG, substrate=substrate)
+        sim = ThermalTimingSimulator(first, None, CFG)
+        sim._warm_power(1.0)
         del sim
         clear_trace_cache()  # the module memo would keep the traces alive
         gc.collect()
-        shared = ThermalTimingSimulator(second, None, CFG, substrate=substrate)
+        shared = ThermalTimingSimulator(second, None, CFG)
+        warm = shared._warm_power(1.0)
+        clear_trace_cache()
         alone = ThermalTimingSimulator(second, None, CFG)
-        np.testing.assert_array_equal(
-            shared._warm_power(1.0), alone._warm_power(1.0)
-        )
+        np.testing.assert_array_equal(warm, alone._warm_power(1.0))
         for p in shared.scheduler.processes:
             np.testing.assert_array_equal(
-                shared._trace_aux[p.pid].unit_power_mean,
-                p.trace.unit_power.mean(axis=0),
+                p.trace.unit_power_mean, p.trace.unit_power.mean(axis=0)
             )
-        assert not substrate._aux  # nothing cached for profile objects
 
     def test_trace_view_ignores_a_reused_id(self):
-        """A trace allocated where a freed one lived gets its own view."""
-        from repro.sim.engine import EngineSubstrate
+        """A trace allocated where a freed one lived gets its own means."""
         from repro.uarch.benchmarks import get_benchmark
-        from repro.uarch.tracegen import clear_trace_cache
+        from repro.uarch.tracegen import generate_trace
 
-        substrate = EngineSubstrate()
-        template = substrate.trace(get_benchmark("art"), CFG)
-        gone = substrate.trace(get_benchmark("gcc"), CFG)
-        substrate.trace_aux(gone)
-        clear_trace_cache()
+        template = generate_trace(get_benchmark("art"), use_cache=False)
+        gone = generate_trace(get_benchmark("gcc"), use_cache=False)
+        assert gone.unit_power_mean is not None
         del gone
         # Allocated straight after the free, CPython usually hands this
         # object the freed trace's address, and so its id.
         reused = object.__new__(type(template))
-        vars(reused).update(vars(template))
-        np.testing.assert_array_equal(
-            substrate.trace_aux(reused).unit_power_mean,
-            template.unit_power.mean(axis=0),
+        vars(reused).update(
+            (k, v) for k, v in vars(template).items()
+            if k != "unit_power_mean"
         )
+        np.testing.assert_array_equal(
+            reused.unit_power_mean, template.unit_power.mean(axis=0)
+        )
+        assert not reused.unit_power_mean.flags.writeable
 
 
 # -- Hypothesis property tests (skipped when hypothesis is absent) --------

@@ -644,15 +644,31 @@ class TestTraceWindow:
             assert sizes == [n + W]
 
     def test_fleet_members_never_build_trace_lists(self):
-        """The scalar loop's per-trace Python lists stay unbuilt in a
-        fleet run; a scalar stepwise run builds them on first use."""
+        """The scalar loop builds its Python list columns per run: after
+        any scalar or fleet run, no object anywhere still holds one."""
+        import gc
+
         cfg = SimulationConfig(duration_s=0.001)
         engine = FleetEngine([(W7, DVFS, cfg), (W7, None, cfg)])
         engine.run()
-        for member in engine.members:
-            for aux in member.sim._trace_aux.values():
-                assert aux.instructions is None
-        sim, _ = scalar_run(W7, DVFS, replace(cfg, seed=5))
-        assert all(
-            aux.instructions is not None for aux in sim._trace_aux.values()
-        )
+        traces = [p.trace for p in engine.members[0].sim.scheduler.processes]
+        scalar_run(W7, DVFS, cfg)  # stepwise
+        scalar_run(W7, None, cfg)  # fused
+        del engine
+        gc.collect()
+        columns = [
+            getattr(trace, name).tolist()
+            for trace in traces
+            for name in (
+                "l2_activity", "instructions", "int_rf_accesses",
+                "fp_rf_accesses",
+            )
+        ]
+        n = traces[0].n_samples
+        live = [
+            obj for obj in gc.get_objects()
+            if type(obj) is list and len(obj) == n and obj in columns
+        ]
+        # The probe's own column lists are the only ones alive.
+        assert len(live) == len(columns)
+        assert all(any(obj is col for col in columns) for obj in live)
