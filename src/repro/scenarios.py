@@ -289,7 +289,7 @@ class Scenario:
         ]
 
     def build_floorplan(self) -> Floorplan:
-        """Construct (memoised) the scenario's chip floorplan."""
+        """Construct the scenario's chip floorplan."""
         classes = [self.core_class_for(i) for i in range(self.n_cores)]
         if self.topology == "row":
             return build_cmp_floorplan(

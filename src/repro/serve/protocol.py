@@ -18,6 +18,7 @@ the same one ``repro compare -o`` archives.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -66,6 +67,12 @@ _BOOL_FIELDS = frozenset(
     f.name for f in fields(SimulationConfig) if f.type in ("bool", bool)
 )
 
+#: Most steps (``SimulationConfig.n_steps`` summed over the grid) one
+#: request may take: a timed-out job's thread steps on to the end of its
+#: grid. The scalar engine stepped distributed DVFS at about 27,700/s on a
+#: 2-vCPU host, 8.3 million steps in the default 300 s ``job_timeout_s``.
+MAX_REQUEST_STEPS = 8_000_000
+
 
 class ProtocolError(ValueError):
     """A malformed or invalid request; maps to HTTP 400."""
@@ -86,9 +93,13 @@ def _check_scalar(field: str, value) -> object:
         return value
     if value is None and field == "warm_start_fraction":
         return None
+    kind = "integer" if field == "seed" else "finite number"
+    # NaN, infinities and ints past the float range fail the comparison.
     _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"config field {field!r} must be a number, got {value!r}",
+        isinstance(value, int if field == "seed" else (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max,
+        f"config field {field!r} must be a {kind}, got {value!r}",
     )
     return value
 
@@ -117,7 +128,9 @@ class JobRequest:
 
         Raises :class:`ProtocolError` with a client-actionable message
         on any schema violation — unknown workload or policy, non-scalar
-        override, unknown or non-numeric sweep field, bad backend.
+        override, non-finite number, non-integer seed, unknown or
+        non-numeric sweep field, bad backend, a grid of more than
+        :data:`MAX_REQUEST_STEPS` steps.
         """
         _require(isinstance(data, dict), "request body must be a JSON object")
         unknown = set(data) - {
@@ -211,7 +224,7 @@ class JobRequest:
                 f"timeout_s must be a positive number, got {timeout_s!r}",
             )
             timeout_s = float(timeout_s)
-        return cls(
+        request = cls(
             workloads=tuple(workloads),
             policy=policy,
             config_overrides=tuple(checked),
@@ -221,18 +234,41 @@ class JobRequest:
             priority=priority,
             timeout_s=timeout_s,
         )
+        try:
+            configs = request._configs()
+        except ProtocolError:  # fails the job in run_points, as before
+            return request
+        steps = len(workloads) * sum(c.n_steps for c in configs)
+        _require(
+            steps <= MAX_REQUEST_STEPS,
+            f"the request's grid steps {steps} sample periods in all, more "
+            f"than the {MAX_REQUEST_STEPS} one request may",
+        )
+        return request
 
     @property
     def n_points(self) -> int:
         """Size of the request's run-point grid."""
         return max(1, len(self.sweep_values)) * len(self.workloads)
 
-    def base_config(self) -> SimulationConfig:
-        """The request's configuration before any sweep substitution."""
+    def _configs(self) -> List[SimulationConfig]:
+        """One configuration per sweep value, or just the base one."""
         try:
-            return SimulationConfig(**dict(self.config_overrides))
+            base = SimulationConfig(**dict(self.config_overrides))
         except (ValueError, TypeError) as exc:
             raise ProtocolError(f"invalid configuration: {exc}") from None
+        if not self.sweep_values:
+            return [base]
+        configs = []
+        for value in self.sweep_values:
+            try:
+                configs.append(replace(base, **{self.sweep_field: value}))
+            except (ValueError, TypeError) as exc:
+                raise ProtocolError(
+                    f"invalid sweep value {value!r} for "
+                    f"{self.sweep_field!r}: {exc}"
+                ) from None
+        return configs
 
     def run_points(self) -> List[RunPoint]:
         """Expand to the request's point grid.
@@ -240,22 +276,13 @@ class JobRequest:
         One point per workload, or with a sweep one per sweep value and
         workload: sweep value major, workload minor.
         """
-        base = self.base_config()
         spec = spec_by_key(self.policy) if self.policy else None
         workloads = [get_workload(name) for name in self.workloads]
-        if not self.sweep_values:
-            return [RunPoint(w, spec, base) for w in workloads]
-        points = []
-        for value in self.sweep_values:
-            try:
-                config = replace(base, **{self.sweep_field: value})
-            except (ValueError, TypeError) as exc:
-                raise ProtocolError(
-                    f"invalid sweep value {value!r} for "
-                    f"{self.sweep_field!r}: {exc}"
-                ) from None
-            points.extend(RunPoint(w, spec, config) for w in workloads)
-        return points
+        return [
+            RunPoint(w, spec, config)
+            for config in self._configs()
+            for w in workloads
+        ]
 
     def describe(self) -> Dict:
         """JSON-safe echo of the request for status responses."""

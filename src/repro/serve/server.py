@@ -167,13 +167,13 @@ class ServeExecutor:
     A fresh runner per execution keeps retry semantics clean (a broken
     process pool never leaks into the next attempt) and starts with an
     empty memo. What stays warm across jobs is the shared ``cache`` and
-    the process-wide tables: machine substrates
+    the bounded process-wide tables: machine substrates
     (:meth:`~repro.sim.engine.EngineSubstrate.shared`: floorplan,
-    factored thermal kernel, chip layout, fault masks), power traces
-    (:func:`~repro.uarch.tracegen.generate_trace`), floorplans and RC
-    networks. Runs on executor threads — everything here must be
-    thread-safe, which the sharded cache, the locked metrics registry
-    and the locked substrate table are.
+    factored thermal kernel, chip layout, fault masks; 16 chips), power
+    traces (:func:`~repro.uarch.tracegen.generate_trace`; 64 traces) and
+    cache-key fragments. Runs on executor threads — everything here must
+    be thread-safe, which the sharded cache, the locked metrics registry
+    and the memo tables (:func:`~repro.util.memo.remember`) are.
     """
 
     def __init__(

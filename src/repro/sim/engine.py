@@ -24,8 +24,8 @@ OS migration loop.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -72,6 +72,7 @@ from repro.uarch.power import (
     PowerModel,
 )
 from repro.uarch.tracegen import generate_trace
+from repro.util.memo import remember
 from repro.util.rng import DEFAULT_ROOT_SEED, RngStream
 
 #: Gradient weight (seconds) in the sensor-intensity observation: the
@@ -183,7 +184,13 @@ class SimulationConfig:
     scenario: Optional["Scenario"] = None
 
     def __post_init__(self):
-        """Reject non-physical durations, scales and thresholds."""
+        """Reject non-finite numbers and non-physical values."""
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite: {value}")
+        if not all(map(math.isfinite, self.core_sizes_mm or ())):
+            raise ValueError(f"core_sizes_mm must be finite: {self.core_sizes_mm}")
         if (
             self.scenario is not None
             and self.scenario.n_cores != self.machine.n_cores
@@ -226,6 +233,12 @@ class SimulationConfig:
         return max(1, int(round(self.duration_s / self.machine.sample_period_s)))
 
 
+#: The scalar float fields of :class:`SimulationConfig`.
+_FLOAT_FIELDS = tuple(
+    f.name for f in fields(SimulationConfig) if f.type in ("float", "Optional[float]")
+)
+
+
 logger = get_logger(__name__)
 
 
@@ -258,14 +271,10 @@ SUBSTRATE_TABLE_SIZE = 16
 #: description, oldest first.
 _SUBSTRATES: Dict[tuple, "EngineSubstrate"] = {}
 #: ``ids of (machine, package, core_sizes_mm, scenario) -> (those
-#: objects, substrate)``, oldest first. An entry holds its objects, so
-#: their ids cannot be reused while it lives, and its substrate is
-#: always one of :data:`_SUBSTRATES` (evicting a substrate drops its
-#: entries here).
-_SUBSTRATE_IDS: Dict[Tuple[int, ...], Tuple[tuple, "EngineSubstrate"]] = {}
-#: Guards every write to both tables; lookups read without it, and no
-#: substrate is built while it is held.
-_SUBSTRATES_LOCK = threading.Lock()
+#: objects, substrate_key)``, oldest first. An entry holds its objects,
+#: so their ids cannot be reused while it lives; its key may name an
+#: evicted substrate, which is then built again.
+_SUBSTRATE_IDS: Dict[Tuple[int, ...], Tuple[tuple, tuple]] = {}
 
 
 class ThermalTimingSimulator:
@@ -1383,8 +1392,10 @@ class EngineSubstrate:
     Substrates come only from :meth:`shared`, one per machine
     description (machine, package, core sizes and scenario) per
     process; per-run knobs (duration, threshold, seed, power scale,
-    trace duration, fault plan) vary freely on one substrate. Traces
-    are not held here: ``generate_trace``'s module memo keeps each one.
+    trace duration, fault plan) vary freely on one substrate. Nothing
+    else memoises a floorplan or RC network: they stay warm as long as
+    their substrate stays in the table. Traces are not held here:
+    ``generate_trace``'s bounded memo keeps the newest ones.
 
     Shared arrays are read-only: ``flags.writeable`` is off, so a write
     through any simulator raises instead of silently changing its
@@ -1417,13 +1428,13 @@ class EngineSubstrate:
     def shared(cls, config: SimulationConfig) -> "EngineSubstrate":
         """The process-wide substrate of ``config``'s machine description.
 
-        Looked up first by the identities of the config's machine,
+        Looked up by :func:`substrate_key`, the ``repr`` of the whole
+        description, which the identities of the config's machine,
         package, core sizes and scenario (a sweep's configs share those
-        objects), and only then by :func:`substrate_key`, the ``repr``
-        of the whole description. A missing substrate is built outside
-        the lock; if two threads build one at once, the first to store
-        it wins and both return that one. Past
-        :data:`SUBSTRATE_TABLE_SIZE` the oldest entry goes.
+        objects) map to without building it again. Both tables store
+        through :func:`~repro.util.memo.remember` (first stored wins,
+        at most :data:`SUBSTRATE_TABLE_SIZE` entries each), and a
+        missing substrate is built outside its lock.
         """
         parts = (
             config.machine,
@@ -1434,26 +1445,16 @@ class EngineSubstrate:
         ident = tuple(map(id, parts))
         hit = _SUBSTRATE_IDS.get(ident)
         if hit is not None:
-            return hit[1]
+            substrate = _SUBSTRATES.get(hit[1])
+            if substrate is not None:
+                return substrate
         key = substrate_key(config)
         substrate = _SUBSTRATES.get(key)
         if substrate is None:
-            substrate = cls(config, key)
-        with _SUBSTRATES_LOCK:
-            stored = _SUBSTRATES.get(key)
-            if stored is not None:
-                substrate = stored
-            else:
-                _SUBSTRATES[key] = substrate
-                while len(_SUBSTRATES) > SUBSTRATE_TABLE_SIZE:
-                    gone = _SUBSTRATES.pop(next(iter(_SUBSTRATES)))
-                    for stale in [
-                        i for i, (_, s) in _SUBSTRATE_IDS.items() if s is gone
-                    ]:
-                        del _SUBSTRATE_IDS[stale]
-            _SUBSTRATE_IDS[ident] = (parts, substrate)
-            while len(_SUBSTRATE_IDS) > SUBSTRATE_TABLE_SIZE:
-                del _SUBSTRATE_IDS[next(iter(_SUBSTRATE_IDS))]
+            substrate = remember(
+                _SUBSTRATES, key, cls(config, key), SUBSTRATE_TABLE_SIZE
+            )
+        remember(_SUBSTRATE_IDS, ident, (parts, key), SUBSTRATE_TABLE_SIZE)
         return substrate
 
     def fault_masks(self, plan: FaultPlan) -> Dict[int, np.ndarray]:

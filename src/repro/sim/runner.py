@@ -68,6 +68,7 @@ from repro.obs.tracing import (
 from repro.sim.engine import EngineSubstrate, SimulationConfig, run_workload
 from repro.sim.results import RunResult
 from repro.sim.workloads import Workload
+from repro.util.memo import remember
 
 logger = get_logger(__name__)
 
@@ -102,7 +103,6 @@ FRAGMENT_TABLE_SIZE = 512
 #: immutable dataclass instance encoded so far, oldest first. An entry
 #: holds its object, so the id cannot be reused while the entry lives.
 _FRAGMENTS: Dict[int, Tuple[object, str]] = {}
-_FRAGMENTS_LOCK = threading.Lock()
 
 #: ``(id(workload), id(spec), id(config), version) -> (workload, spec,
 #: config, digest)``: the :func:`config_hash` of each point whose three
@@ -138,14 +138,6 @@ def _layout(cls: type) -> Tuple[str, Tuple[Tuple[str, str], ...], bool]:
     )
     _LAYOUTS[cls] = layout
     return layout
-
-
-def _remember(table: dict, key, entry) -> None:
-    """Store ``entry`` in ``table``, dropping the oldest past the bound."""
-    with _FRAGMENTS_LOCK:
-        table[key] = entry
-        while len(table) > FRAGMENT_TABLE_SIZE:
-            del table[next(iter(table))]
 
 
 def _encode(obj) -> Tuple[str, bool]:
@@ -200,7 +192,7 @@ def _encode(obj) -> Tuple[str, bool]:
         immutable = immutable and fixed
     text = f'{head}{",".join(parts)}]]'
     if immutable:
-        _remember(_FRAGMENTS, id(obj), (obj, text))
+        remember(_FRAGMENTS, id(obj), (obj, text), FRAGMENT_TABLE_SIZE)
     return text, immutable
 
 
@@ -316,7 +308,10 @@ def config_hash(point: RunPoint, version: Optional[str] = None) -> str:
         ("run-point", CACHE_FORMAT_VERSION, version, workload, spec, config)
     )
     if immutable:
-        _remember(_POINT_KEYS, ident, (workload, spec, config, digest))
+        remember(
+            _POINT_KEYS, ident, (workload, spec, config, digest),
+            FRAGMENT_TABLE_SIZE,
+        )
     return digest
 
 

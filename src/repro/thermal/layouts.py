@@ -148,34 +148,6 @@ def build_core_floorplan(
     return Floorplan(blocks)
 
 
-#: Memoised chips: geometry construction is pure and every simulator run
-#: rebuilds the same default plan, so identical parameters share one
-#: (immutable by convention) Floorplan instance. Keys carry every
-#: geometry-affecting parameter — two scenarios sharing ``n_cores`` but
-#: differing in sizes or per-core layouts must never alias one plan.
-_CMP_CACHE: Dict[Tuple, Floorplan] = {}
-
-#: Memoised mesh chips, keyed on the full (rows, cols, per-tile
-#: size+layout) geometry — same aliasing rule as :data:`_CMP_CACHE`.
-_MESH_CACHE: Dict[Tuple, Floorplan] = {}
-
-
-def _layouts_key(
-    n_cores: int, core_layouts: Optional[Sequence[Optional[LayoutItems]]]
-) -> Optional[Tuple]:
-    """Hashable per-core layout component of a floorplan memo key."""
-    if core_layouts is None:
-        return None
-    layouts = list(core_layouts)
-    if len(layouts) != n_cores:
-        raise ValueError(
-            f"core_layouts must have {n_cores} entries, got {len(layouts)}"
-        )
-    return tuple(
-        None if lay is None else _layout_items(lay) for lay in layouts
-    )
-
-
 def build_cmp_floorplan(
     n_cores: int = 4,
     core_size_mm: float = DEFAULT_CORE_SIZE_MM,
@@ -196,19 +168,7 @@ def build_cmp_floorplan(
     ``core_layouts`` optionally gives each core its own fractional unit
     layout (heterogeneous big.LITTLE rows from :mod:`repro.scenarios`);
     ``None`` entries fall back to the default layout.
-
-    Calls with equal parameters return a shared, memoised instance;
-    floorplans are treated as immutable everywhere in the codebase.
     """
-    key = (
-        int(n_cores),
-        float(core_size_mm),
-        None if core_sizes_mm is None else tuple(float(s) for s in core_sizes_mm),
-        _layouts_key(int(n_cores), core_layouts),
-    )
-    cached = _CMP_CACHE.get(key)
-    if cached is not None:
-        return cached
     if n_cores < 1:
         raise ValueError(f"n_cores must be >= 1, got {n_cores}")
     if core_sizes_mm is None:
@@ -224,6 +184,10 @@ def build_cmp_floorplan(
     layouts: List[Optional[LayoutItems]] = (
         [None] * n_cores if core_layouts is None else list(core_layouts)
     )
+    if len(layouts) != n_cores:
+        raise ValueError(
+            f"core_layouts must have {n_cores} entries, got {len(layouts)}"
+        )
     blocks: List[Block] = []
     xbar_bottom = L2_HEIGHT_MM
     core_bottom = L2_HEIGHT_MM + XBAR_HEIGHT_MM
@@ -243,9 +207,7 @@ def build_cmp_floorplan(
     for i, size in enumerate(sizes):
         blocks.append(Block(f"l2_{i}", x, 0.0, size, L2_HEIGHT_MM))
         x += size
-    plan = Floorplan(blocks)
-    _CMP_CACHE[key] = plan
-    return plan
+    return Floorplan(blocks)
 
 
 def build_mesh_floorplan(
@@ -286,10 +248,6 @@ def build_mesh_floorplan(
         return float(cls.size_mm), _layout_items(cls.layout)
 
     tiles = [_tile(i) for i in range(n_cores)]
-    key = ("mesh", int(rows), int(cols), tuple(tiles))
-    cached = _MESH_CACHE.get(key)
-    if cached is not None:
-        return cached
     if any(not size > 0 for size, _ in tiles):
         raise ValueError("mesh core sizes must be positive")
     tile_w = max(size for size, _ in tiles)
@@ -317,9 +275,7 @@ def build_mesh_floorplan(
             blocks.extend(core.blocks)
         y += row_heights[r]
     blocks.append(Block("xbar", cols * tile_w, 0.0, MESH_NOC_WIDTH_MM, y))
-    plan = Floorplan(blocks)
-    _MESH_CACHE[key] = plan
-    return plan
+    return Floorplan(blocks)
 
 
 def build_mobile_floorplan(core_size_mm: float = 6.0) -> Floorplan:

@@ -25,7 +25,6 @@ the ambient enters as a fixed-temperature boundary on the sink node.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -91,27 +90,12 @@ class RCNetwork:
         return u
 
 
-#: Memoised assemblies keyed by floorplan *object* (weak, so a discarded
-#: plan frees its networks) then by the (hashable, frozen) package.
-#: Floorplans and built networks are treated as immutable everywhere, and
-#: memoised floorplans (see :func:`repro.thermal.layouts.build_cmp_floorplan`)
-#: make repeated simulator construction hit this cache.
-_NETWORK_CACHE: "weakref.WeakKeyDictionary[Floorplan, dict]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def build_rc_network(floorplan: Floorplan, package: ThermalPackage) -> RCNetwork:
     """Assemble the :class:`RCNetwork` for ``floorplan`` under ``package``.
 
-    Repeated calls with the same floorplan instance and an equal package
-    return a shared, memoised network.
+    Each call assembles a new network; the engine keeps one per machine
+    on its shared :class:`~repro.sim.engine.EngineSubstrate`.
     """
-    per_plan = _NETWORK_CACHE.get(floorplan)
-    if per_plan is not None:
-        cached = per_plan.get(package)
-        if cached is not None:
-            return cached
     n = len(floorplan)
     n_total = n + 2
     spreader = n
@@ -151,12 +135,10 @@ def build_rc_network(floorplan: Floorplan, package: ThermalPackage) -> RCNetwork
     c[sink] = package.sink_heat_capacity_j_per_k
 
     names = tuple(floorplan.names) + ("spreader", "sink")
-    network = RCNetwork(
+    return RCNetwork(
         node_names=names,
         conductance=g,
         capacitance=c,
         ambient_c=package.ambient_c,
         ambient_conductance=g_amb,
     )
-    _NETWORK_CACHE.setdefault(floorplan, {})[package] = network
-    return network

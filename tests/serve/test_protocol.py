@@ -10,6 +10,7 @@ import pytest
 from repro.core.taxonomy import spec_by_key
 from repro.serve.protocol import (
     CONFIG_FIELDS,
+    MAX_REQUEST_STEPS,
     SWEEP_FIELDS,
     JobRequest,
     ProtocolError,
@@ -88,6 +89,40 @@ class TestParse:
         with pytest.raises(ProtocolError):
             JobRequest.parse(body)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"policy": "distributed-dvfs-none", "config": {"threshold_c": NaN}}',
+            '{"config": {"power_scale": Infinity}}',
+            '{"config": {"sensor_offset_c": -Infinity}}',
+            '{"config": {"warm_start_fraction": NaN}}',
+            '{"config": {"duration_s": 1e400}}',
+            pytest.param(
+                '{"config": {"threshold_c": 1' + "0" * 400 + "}}",
+                id="int-past-float-range",
+            ),
+            '{"sweep": {"field": "power_scale", "values": [1.0, Infinity]}}',
+            '{"config": {"seed": 1.5}}',
+            '{"config": {"seed": 2.0}}',
+            '{"config": {"seed": true}}',
+            '{"sweep": {"field": "seed", "values": [1, 1.5]}}',
+        ],
+    )
+    def test_rejects_non_finite_numbers_and_non_integer_seeds(self, text):
+        """Parsed from the wire as a server parses it: JSON's NaN and
+        Infinity literals must not reach a configuration."""
+        with pytest.raises(ProtocolError):
+            JobRequest.parse(json.loads(text))
+
+    def test_integer_seeds_and_finite_numbers_accepted(self):
+        request = JobRequest.parse(
+            {
+                "config": {"seed": 7, "threshold_c": 1e6, "power_scale": 2},
+                "sweep": {"field": "seed", "values": [1, 2, 3]},
+            }
+        )
+        assert [p.config.seed for p in request.run_points()] == [1, 2, 3]
+
     def test_not_a_dict(self):
         with pytest.raises(ProtocolError):
             JobRequest.parse(["not", "a", "dict"])
@@ -132,6 +167,31 @@ class TestRunPoints:
         points = request.run_points()
         assert [p.workload.name for p in points] == ["workload1", "workload7"]
         assert all(p.spec is None for p in points)
+
+    def test_grid_steps_over_the_budget_are_rejected_at_parse(self):
+        """A job that cannot finish inside the job timeout keeps its
+        executor thread stepping after the timeout; refuse it up front."""
+        with pytest.raises(ProtocolError, match="steps"):
+            JobRequest.parse({"config": {"duration_s": 1e9}})
+        period = SimulationConfig().machine.sample_period_s
+        per_point = MAX_REQUEST_STEPS // 4
+        body = {
+            "workloads": ["workload1", "workload7"],
+            "config": {"duration_s": per_point * period},
+            "sweep": {"field": "seed", "values": [1, 2]},
+        }
+        request = JobRequest.parse(body)
+        steps = sum(p.config.n_steps for p in request.run_points())
+        assert steps == MAX_REQUEST_STEPS
+        body["sweep"]["values"].append(3)
+        with pytest.raises(ProtocolError, match="steps"):
+            JobRequest.parse(body)
+        # A duration sweep counts each value's own steps.
+        sweep = {"field": "duration_s", "values": [per_point * period] * 4}
+        assert JobRequest.parse({"sweep": sweep}).n_points == 4
+        sweep["values"][-1] = (per_point + 1) * period
+        with pytest.raises(ProtocolError, match="steps"):
+            JobRequest.parse({"sweep": sweep})
 
     def test_invalid_config_surfaces_as_protocol_error(self):
         request = JobRequest.parse({"config": {"duration_s": -1.0}})

@@ -154,6 +154,25 @@ class TestEndpoints:
         finally:
             handle.stop()
 
+    def test_unrunnable_requests_get_400(self, tmp_path):
+        """Non-finite numbers, fractional seeds and grids past the step
+        budget are refused at submission, before they reach a worker."""
+        handle = start_in_thread(quick_config(tmp_path))
+        try:
+            with ServeClient(handle.url) as client:
+                for body in (
+                    {"policy": "distributed-dvfs-none",
+                     "config": {"threshold_c": float("nan")}},
+                    {"config": {"power_scale": float("inf")}},
+                    {"config": {"seed": 1.5}},
+                    {"config": {"duration_s": 1e9}},
+                ):
+                    with pytest.raises(ServeError) as excinfo:
+                        client.submit(body)
+                    assert excinfo.value.status == 400, body
+        finally:
+            handle.stop()
+
     def test_result_409_while_running(self, controlled):
         handle, executor = controlled(block=True)
         with ServeClient(handle.url) as client:

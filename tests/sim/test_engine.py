@@ -35,6 +35,32 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             SimulationConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field", [
+            "duration_s", "threshold_c", "trace_duration_s",
+            "warm_start_fraction", "migration_period_s",
+            "sensor_noise_std_c", "sensor_quantization_c",
+            "sensor_offset_c", "hardware_trip_freeze_s", "power_scale",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_floats_rejected_at_construction(self, field, value):
+        """A NaN threshold used to run (and be cached) with no throttling
+        at all, and an infinite power scale failed deep in the thermal
+        solve; every float field must be finite up front."""
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SimulationConfig(**{field: value})
+
+    def test_non_finite_core_size_rejected(self):
+        with pytest.raises(ValueError, match="core_sizes_mm must be finite"):
+            SimulationConfig(core_sizes_mm=(4.0, 4.0, 4.0, float("inf")))
+
+    def test_finite_extremes_still_accepted(self):
+        SimulationConfig(threshold_c=-40.0, sensor_offset_c=-5.0)
+        SimulationConfig(threshold_c=1e6, power_scale=1e-9)
+
     def test_benchmark_count_must_match_cores(self):
         with pytest.raises(ValueError):
             ThermalTimingSimulator(("gzip",), None, SimulationConfig(duration_s=0.01))

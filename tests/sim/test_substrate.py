@@ -5,8 +5,9 @@ fleet member and runner plan the substrate of its machine description.
 These tests pin what the table promises: threads that miss together
 still share one substrate, the table keeps its bound and evicts the
 oldest entry first, an identity entry never outlives the objects whose
-ids it keys, and a run is bit-identical whether its substrate came from
-a warm table or a freshly emptied one.
+ids it keys nor returns a substrate the table has evicted, and a run is
+bit-identical whether its substrate came from a warm table or a freshly
+emptied one.
 """
 
 import sys
@@ -132,9 +133,11 @@ def test_concurrent_churn_keeps_the_table_consistent(monkeypatch):
         sys.setswitchinterval(interval)
     assert len(engine._SUBSTRATES) == size
     assert len(engine._SUBSTRATE_IDS) <= size
-    for ident, (parts, substrate) in engine._SUBSTRATE_IDS.items():
+    for ident, (parts, key) in engine._SUBSTRATE_IDS.items():
         assert ident == tuple(map(id, parts))
-        assert engine._SUBSTRATES[substrate.key] is substrate
+    for config in configs:
+        substrate = EngineSubstrate.shared(config)
+        assert engine._SUBSTRATES[substrate_key(config)] is substrate
 
 
 def test_shared_kernel_serialises_its_solves(monkeypatch):
@@ -187,11 +190,10 @@ def test_table_keeps_its_bound_and_evicts_the_oldest_first(monkeypatch):
     assert all(
         engine._SUBSTRATES[s.key] is s for s in built[3:]
     )
-    # An evicted substrate takes its identity entries with it.
     assert len(engine._SUBSTRATE_IDS) == size
-    for ident, (parts, substrate) in engine._SUBSTRATE_IDS.items():
+    for ident, (parts, key) in engine._SUBSTRATE_IDS.items():
         assert ident == tuple(map(id, parts))
-        assert engine._SUBSTRATES[substrate.key] is substrate
+        assert key in engine._SUBSTRATES
 
     again, result = _run(DVFS, configs[0])
     assert again._substrate is not first._substrate
@@ -200,6 +202,28 @@ def test_table_keeps_its_bound_and_evicts_the_oldest_first(monkeypatch):
     np.testing.assert_array_equal(
         again.thermal.temperatures, first.thermal.temperatures
     )
+
+
+def test_identity_hit_never_returns_an_evicted_substrate(monkeypatch):
+    """An identity entry outlives the substrate its key names when other
+    objects of the same machine description took that substrate's place
+    in line; a lookup through it then builds the substrate again."""
+    _empty_tables(monkeypatch)
+    size = engine.SUBSTRATE_TABLE_SIZE
+    first = EngineSubstrate.shared(_asym(0))
+    for i in range(1, size):
+        EngineSubstrate.shared(_asym(i))
+    twin = _asym(0)  # equal description, new objects: a new identity
+    assert EngineSubstrate.shared(twin) is first
+    EngineSubstrate.shared(_asym(size))  # evicts the first substrate
+    ident = tuple(
+        map(id, (twin.machine, twin.package, twin.core_sizes_mm, None))
+    )
+    assert engine._SUBSTRATE_IDS[ident][1] == first.key
+    assert first.key not in engine._SUBSTRATES
+    again = EngineSubstrate.shared(twin)
+    assert again is not first and again.key == first.key
+    assert engine._SUBSTRATES[again.key] is again
 
 
 def test_no_pinned_id_is_reused(monkeypatch):

@@ -74,15 +74,11 @@ class TestMeshFloorplan:
         assert xbar.y == pytest.approx(y_min)
         assert xbar.y2 == pytest.approx(y_max)
 
-    def test_memoised_instance_reuse(self):
-        assert build_mesh_floorplan(2, 3) is build_mesh_floorplan(2, 3)
-
     def test_distinct_class_mixes_never_alias(self):
         homo = build_mesh_floorplan(2, 2)
         hetero = build_mesh_floorplan(
             2, 2, core_classes=[EFFICIENCY_CORE] * 4
         )
-        assert homo is not hetero
         assert homo.bounding_box != hetero.bounding_box
 
     def test_validation_errors(self):
@@ -95,14 +91,14 @@ class TestMeshFloorplan:
 
 
 class TestCmpMemoisationRegression:
-    """Bugfix: scenarios sharing ``n_cores`` must not alias the cache."""
+    """Scenarios sharing ``n_cores`` but not core layouts get their own
+    geometry."""
 
     def test_core_layouts_participate_in_memo_key(self):
         default = build_cmp_floorplan(4)
         little = build_cmp_floorplan(
             4, core_layouts=[EFFICIENCY_CORE_LAYOUT] * 4
         )
-        assert default is not little
         # Same names, different geometry: aliasing would silently hand
         # one scenario the other's thermal RC network.
         assert default.names == little.names
@@ -110,9 +106,6 @@ class TestCmpMemoisationRegression:
             default.block("core0.icache").height
             != little.block("core0.icache").height
         )
-
-    def test_default_layout_requests_still_share_one_instance(self):
-        assert build_cmp_floorplan(4) is build_cmp_floorplan(4)
 
 
 # -- Hypothesis properties (skipped when hypothesis is absent) ------------
