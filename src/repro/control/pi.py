@@ -24,13 +24,13 @@ of the paper makes exactly this observation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.control.c2d import discretize_pi_increments
 from repro.control.transfer import TransferFunction, pi_transfer_function
+from repro.util.memo import remember
 
 #: Proportional gain used in all of the paper's experiments.
 PAPER_KP = 0.0107
@@ -71,10 +71,12 @@ class PIDesign:
         return pi_transfer_function(self.kp, self.ki)
 
 
-@lru_cache(maxsize=64)
-def _design_pi_cached(kp: float, ki: float, dt: float, method: str) -> PIDesign:
-    b0, b1 = discretize_pi_increments(kp, ki, dt, method)
-    return PIDesign(kp=kp, ki=ki, dt=dt, b0=b0, b1=b1)
+#: Most designs :data:`_DESIGNS` keeps; past it the oldest goes. A study
+#: designs a handful of (gains, sample period) pairs.
+DESIGN_TABLE_SIZE = 64
+
+#: ``(kp, ki, dt, method) -> PIDesign``, oldest first.
+_DESIGNS: Dict[Tuple[float, float, float, str], PIDesign] = {}
 
 
 def design_pi(kp: float, ki: float, dt: float, method: str = "euler") -> PIDesign:
@@ -88,7 +90,17 @@ def design_pi(kp: float, ki: float, dt: float, method: str = "euler") -> PIDesig
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    return _design_pi_cached(float(kp), float(ki), float(dt), str(method))
+    key = (float(kp), float(ki), float(dt), str(method))
+    design = _DESIGNS.get(key)
+    if design is None:
+        b0, b1 = discretize_pi_increments(*key)
+        design = remember(
+            _DESIGNS,
+            key,
+            PIDesign(kp=key[0], ki=key[1], dt=key[2], b0=b0, b1=b1),
+            DESIGN_TABLE_SIZE,
+        )
+    return design
 
 
 def design_paper_controller(dt: float) -> PIDesign:

@@ -16,10 +16,10 @@ the one way to capture them:
   per-step series: Figure 5 reads its per-unit hotspot and resident
   columns (:mod:`repro.experiments.figure5`).
 
-The sampler is **fusion-aware**: it is deliberately *not* a
-``fusion_blockers`` entry. A fusion-eligible run keeps executing as
-fused ``step_n`` chunks, and the sampler reads the true post-step state
-only at sample instants — between samples the fused chunk assembly is
+The sampler is **fusion-aware**: like every observer, it is *not* a
+``fusion_blockers`` entry. A fusion-eligible run keeps executing its
+fused thermal recursion, and the sampler reads the true post-step state
+only at sample instants — between samples the fused spans are
 untouched. Because it reads true temperatures (never the sensor path)
 and feeds nothing back, a sampled run's :class:`~repro.sim.results.RunResult`
 is bit-identical to an uninstrumented run, and the sampled series is

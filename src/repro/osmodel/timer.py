@@ -9,6 +9,8 @@ rate-limiting actions to a minimum separation.
 
 from __future__ import annotations
 
+import math
+
 #: Default migration-decision period (the Linux-kernel-style 10 ms).
 DEFAULT_MIGRATION_PERIOD_S = 10e-3
 
@@ -39,6 +41,18 @@ class PeriodicTimer:
                 self._next_fire_s += self.period_s
             return True
         return False
+
+    def next_due_step(self, dt: float, first: int = 0) -> int:
+        """The first step ``s >= first`` at whose time ``s * dt`` it fires.
+
+        A caller that steps in ``dt`` and polls :meth:`fire_due` only at
+        the steps this names fires on the same steps as one polling
+        every step: the search ends on the same comparison.
+        """
+        step = max(first, math.ceil((self._next_fire_s - FIRE_SLACK_S) / dt) - 1)
+        while step * dt + FIRE_SLACK_S < self._next_fire_s:
+            step += 1
+        return step
 
     @property
     def next_fire_s(self) -> float:

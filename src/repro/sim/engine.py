@@ -62,7 +62,7 @@ from repro.thermal.leakage import LeakageModel, block_leakage_weights
 from repro.thermal.model import ThermalKernel, ThermalModel
 from repro.thermal.rc_network import RCNetwork
 from repro.thermal.package import HIGH_PERFORMANCE_PACKAGE, ThermalPackage
-from repro.uarch.config import MachineConfig
+from repro.uarch.config import DEFAULT_MACHINE, MachineConfig
 from repro.uarch.interval_model import UNIT_ORDER
 from repro.uarch.power import (
     L2_BANK_PEAK_W,
@@ -80,24 +80,16 @@ from repro.util.rng import DEFAULT_ROOT_SEED, RngStream
 #: tau * dT/dt, capturing both equilibrium level and transient trend.
 GRADIENT_TAU_S = 0.010
 
-#: The paper's machine, one frozen instance shared by every default
-#: config, so sweeps of default configs share it by identity.
-_DEFAULT_MACHINE = MachineConfig()
-
-
 def fusion_blockers(
-    spec: Optional[PolicySpec],
-    config: "SimulationConfig",
-    *,
-    event_log: Optional[RunEventLog] = None,
-    profiler: Optional[StepProfiler] = None,
+    spec: Optional[PolicySpec], config: "SimulationConfig"
 ) -> Tuple[str, ...]:
     """Why a run cannot take the whole-run fused path (empty = eligible).
 
-    Any entry means some per-step observer could see or perturb an
-    intermediate state, so the engine must take the general stepwise
-    path. A pure function of the point, so the runner can plan with it
-    before any simulator exists.
+    Any entry means some per-step stage could perturb an intermediate
+    state, so the engine must take the general stepwise path. A pure
+    function of the point, so the runner can plan with it before any
+    simulator exists; observers (event log, profiler, telemetry) never
+    enter it, since the fused path serves them too.
     """
     blockers = []
     if spec is not None:
@@ -111,10 +103,6 @@ def fusion_blockers(
         blockers.append("sensor-guards")
     if config.hardware_trip:
         blockers.append("hardware-trip")
-    if event_log is not None:
-        blockers.append("event-log")
-    if profiler is not None:
-        blockers.append("profiler")
     if not config.fuse_steps:
         blockers.append("disabled")
     return tuple(blockers)
@@ -131,7 +119,7 @@ class SimulationConfig:
     duration_s: float = 0.5
     threshold_c: float = DEFAULT_THRESHOLD_C
     seed: int = DEFAULT_ROOT_SEED
-    machine: MachineConfig = _DEFAULT_MACHINE
+    machine: MachineConfig = DEFAULT_MACHINE
     package: ThermalPackage = HIGH_PERFORMANCE_PACKAGE
     trace_duration_s: float = 0.25
     #: Fraction of trace-mean power used for the warm-start steady state;
@@ -171,10 +159,9 @@ class SimulationConfig:
     #: the affected core back to blind stop-go. Off (``None``) by default.
     guard: Optional[GuardConfig] = None
     #: Allow the whole-run fused fast path when nothing (policy, faults,
-    #: guards, PROCHOT, instrumentation) can observe an intermediate
-    #: step. Results are bit-identical either way — see
-    #: ``docs/PERFORMANCE.md`` — so this exists for equivalence testing
-    #: and debugging, not for correctness.
+    #: guards, PROCHOT) can perturb an intermediate step. Results are
+    #: bit-identical either way — see ``docs/PERFORMANCE.md`` — so this
+    #: exists for equivalence testing and debugging, not for correctness.
     fuse_steps: bool = True
     #: Declarative chip description (see :mod:`repro.scenarios`): mesh or
     #: row topology, per-core classes (area/layout/power/DVFS floor) and
@@ -185,6 +172,10 @@ class SimulationConfig:
 
     def __post_init__(self):
         """Reject non-finite numbers and non-physical values."""
+        # A float or bool seed would run the same streams as its int and
+        # key the result differently.
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an int: {self.seed!r}")
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -289,10 +280,8 @@ class ThermalTimingSimulator:
     :class:`~repro.obs.telemetry.TelemetrySampler` to capture a bounded
     metrics time-series at a configurable sample period. None of them
     feed anything back into the simulation, so instrumented runs are
-    byte-identical to uninstrumented ones. Event logs and profilers have
-    per-step semantics and therefore block the fused fast path; the
-    telemetry sampler is fusion-aware (it observes only at sample
-    instants) and keeps fusion-eligible runs fused.
+    byte-identical to uninstrumented ones, and none of them chooses the
+    path: a fusion-eligible run stays fused under any mix of them.
     """
 
     def __init__(
@@ -477,12 +466,10 @@ class ThermalTimingSimulator:
         self._leak_mult = np.ones(net.n_blocks)
 
         #: Why the fused fast path (see run()) cannot be used (empty =
-        #: eligible).
-        #: The telemetry sampler is deliberately absent from this list:
-        #: it observes only at sample instants, so sampled runs keep the
-        #: fused fast path (see docs/OBSERVABILITY.md).
+        #: eligible). Observers are absent from it: _run_fused serves
+        #: them between spans of steps (see docs/OBSERVABILITY.md).
         self.fusion_blockers: Tuple[str, ...] = fusion_blockers(
-            spec, self.config, event_log=event_log, profiler=profiler
+            spec, self.config
         )
         #: Whether the most recent :meth:`run` took the fused fast path.
         self.last_run_fused = False
@@ -916,12 +903,7 @@ class ThermalTimingSimulator:
                 )
                 tel_next += tel_stride
             if events is not None:
-                emergency = max_temp > cfg.threshold_c + EMERGENCY_TOLERANCE_C
-                if emergency and not self._in_emergency:
-                    events.emit(t, "emergency-enter", temp_c=float(max_temp))
-                elif self._in_emergency and not emergency:
-                    events.emit(t, "emergency-exit", temp_c=float(max_temp))
-                self._in_emergency = emergency
+                self._emit_emergency_edge(events, t, max_temp)
             if window_live:
                 # The trend window only feeds the OS-tick fold into the
                 # thread-core thermal table, whose sole reader is an
@@ -931,20 +913,29 @@ class ThermalTimingSimulator:
                 window.accumulate(temps, dt)
 
     def _run_fused(self, n_steps: int, metrics: MetricsAccumulator) -> None:
-        """Fused whole-run fast path for runs with no per-step observers.
+        """Fused whole-run fast path for runs no per-step stage perturbs.
 
         Eligible only when :attr:`fusion_blockers` is empty: no throttle
-        or migration policy, faults, guards, PROCHOT, event log or
-        profiler — nothing that could observe or perturb an intermediate
-        step. Every core then runs at scale 1.0 with no stalls, so the
-        dynamic-power schedule is a pure function of the trace positions
-        and is assembled in vectorized chunks up front.
+        or migration policy, faults, guards or PROCHOT. Every core then
+        runs at scale 1.0 with no stalls, so the dynamic-power schedule
+        is a pure function of the trace positions and is assembled in
+        vectorized chunks up front.
         Temperature-dependent leakage still forces a sequential thermal
         recursion, but each step collapses to one leakage evaluation, one
         affine :meth:`~repro.thermal.model.StepOperator.apply` and one
         metrics fold — the same floating-point operations, in the same
         order, as the stepwise path under this configuration, so results
         are bit-identical (asserted by ``tests/sim/test_fusion.py``).
+
+        Observers read the recursion between spans of steps. A span ends
+        where one is due: a telemetry sample, an OS tick (with an event
+        log or profiler attached; it runs the stepwise loop's
+        :meth:`_os_tick`) or, with an event log, every step, whose
+        emergency edge it checks. They run there in the stepwise loop's
+        order and see the same values. A profiler is charged ``power``
+        for chunk assembly and counter folds, ``thermal-step`` for the
+        recursion and ``os-tick`` for ticks. Unobserved, a span is a
+        whole chunk.
         """
         cfg = self.config
         dt = self.dt
@@ -964,93 +955,135 @@ class ThermalTimingSimulator:
         core_stall = [0.0] * n_cores
         core_frozen = [False] * n_cores
 
-        # Telemetry sampling between fused spans: the run still executes
-        # as vectorized chunk assembly plus the sequential thermal
-        # recursion below; the sampler reads the recursion's state only
-        # at sample instants. Same values, at the same instants, as the
-        # stepwise tap — an unthrottled step has effective scale 1.0 and
-        # work dt, exactly what the stepwise loop computes.
+        # Observer schedule, as counts of completed steps; `never` is
+        # past the run. An unthrottled step has effective scale 1.0 and
+        # work dt, exactly what the stepwise telemetry tap computes.
+        never = n_steps + 1
         telemetry = self.telemetry
+        events = self.event_log
+        prof = self.profiler if self.profiler is not None else NULL_PROFILER
+        sec_power = prof.section("power")
+        sec_thermal = prof.section("thermal-step")
+        sec_os_tick = prof.section("os-tick")
         if telemetry is not None:
             tel_stride = telemetry.stride_steps(dt)
-            tel_next = tel_stride - 1
+            tel_due = tel_stride
             tel_scales = [1.0] * n_cores
         else:
-            tel_stride = 0
-            tel_next = -1
+            tel_due = never
+        timer = self._migration_timer
+        ticking = events is not None or self.profiler is not None
+        tick_due = timer.next_due_step(dt) if ticking else never
+
+        def observe(done: int, temps: np.ndarray, max_temp: float) -> int:
+            """Serve the observers due after ``done`` steps -> next stop."""
+            nonlocal tel_due, tick_due
+            if done == tel_due:
+                telemetry.sample(done * dt, temps, tel_scales, metrics)
+                tel_due += tel_stride
+            if events is not None and done:
+                self._emit_emergency_edge(events, (done - 1) * dt, max_temp)
+            if done == tick_due and done < n_steps:
+                t = done * dt
+                timer.fire_due(t)  # true here by next_due_step's contract
+                with sec_os_tick:
+                    self._os_tick(t, None)
+                tick_due = timer.next_due_step(dt, done + 1)
+            return min(tel_due, tick_due, done + 1 if events is not None else never)
 
         temps = thermal.temperatures
+        stop = observe(0, temps, math.nan)
         chunk = 8192
         for start in range(0, n_steps, chunk):
             k = min(chunk, n_steps - start)
-            steps = np.arange(start, start + k)
-            dyn = np.empty((k, n_blocks))
-            total_l2 = np.zeros(k)
-            instr_cols = []
-            int_rf_cols = []
-            fp_rf_cols = []
-            for c in range(n_cores):
-                tr = procs[c].trace
-                idx = (base_pos[c] + steps) % tr.n_samples
-                # Same op order as the stepwise loop (multiplying by the
-                # unit dynamic factor included), element-for-element.
-                dyn[:, self._core_unit_idx[c]] = tr.unit_power[idx] * 1.0
-                l2_act = tr.l2_activity[idx] * 1.0 * 1.0
-                total_l2 += l2_act
-                dyn[:, self._l2_idx_list[c]] = l2_base * (
-                    L2_IDLE_FRACTION + (1 - L2_IDLE_FRACTION) * l2_act
+            with sec_power:
+                steps = np.arange(start, start + k)
+                dyn = np.empty((k, n_blocks))
+                total_l2 = np.zeros(k)
+                instr_cols = []
+                int_rf_cols = []
+                fp_rf_cols = []
+                for c in range(n_cores):
+                    tr = procs[c].trace
+                    idx = (base_pos[c] + steps) % tr.n_samples
+                    # Same op order as the stepwise loop (multiplying by
+                    # the unit dynamic factor included), element-for-element.
+                    dyn[:, self._core_unit_idx[c]] = tr.unit_power[idx] * 1.0
+                    l2_act = tr.l2_activity[idx] * 1.0 * 1.0
+                    total_l2 += l2_act
+                    dyn[:, self._l2_idx_list[c]] = l2_base * (
+                        L2_IDLE_FRACTION + (1 - L2_IDLE_FRACTION) * l2_act
+                    )
+                    instr_cols.append(tr.instructions[idx] * 1.0)
+                    int_rf_cols.append(tr.int_rf_accesses[idx] * 1.0)
+                    fp_rf_cols.append(tr.fp_rf_accesses[idx] * 1.0)
+                dyn[:, self._xbar_i] = xbar_base * (
+                    XBAR_IDLE_FRACTION
+                    + (1 - XBAR_IDLE_FRACTION) * np.minimum(1.0, total_l2 / n_cores)
                 )
-                instr_cols.append(tr.instructions[idx] * 1.0)
-                int_rf_cols.append(tr.int_rf_accesses[idx] * 1.0)
-                fp_rf_cols.append(tr.fp_rf_accesses[idx] * 1.0)
-            dyn[:, self._xbar_i] = xbar_base * (
-                XBAR_IDLE_FRACTION
-                + (1 - XBAR_IDLE_FRACTION) * np.minimum(1.0, total_l2 / n_cores)
-            )
+                instr_rows = np.stack(instr_cols, axis=1).tolist()
 
             # Sequential thermal recursion: leakage depends on the current
             # temperatures, so steps cannot collapse into one matrix
             # power, but each iteration is only leakage + apply + fold.
-            instr_rows = np.stack(instr_cols, axis=1).tolist()
-            for i in range(k):
-                p = dyn[i] + leak_power(temps[:n_blocks])
-                temps = apply_step(temps, p)
-                max_temp = float(temps[:n_blocks].max())
-                record_step(
-                    dt, core_work, core_stall, core_frozen, instr_rows[i], max_temp
-                )
-                if start + i == tel_next:
-                    telemetry.sample(
-                        (start + i + 1) * dt, temps, tel_scales, metrics
-                    )
-                    tel_next += tel_stride
+            i = 0
+            while i < k:
+                end = min(k, stop - start)
+                with sec_thermal:
+                    for j in range(i, end):
+                        p = dyn[j] + leak_power(temps[:n_blocks])
+                        temps = apply_step(temps, p)
+                        max_temp = float(temps[:n_blocks].max())
+                        record_step(
+                            dt, core_work, core_stall, core_frozen,
+                            instr_rows[j], max_temp,
+                        )
+                i = end
+                if start + i == stop:
+                    stop = observe(stop, temps, max_temp)
 
             # Fold per-process bookkeeping exactly as the stepwise loop
             # would: sequential adds per step, in step order.
-            for c in range(n_cores):
-                ctr = procs[c].counters
-                ic = instr_cols[c].tolist()
-                rc = int_rf_cols[c].tolist()
-                fc = fp_rf_cols[c].tolist()
-                si = ctr.instructions
-                sr = ctr.int_rf_accesses
-                sf = ctr.fp_rf_accesses
-                cyc = ctr.cycles
-                adj = ctr.adjusted_cycles
-                for j in range(k):
-                    si += ic[j]
-                    sr += rc[j]
-                    sf += fc[j]
-                    cyc += nominal_cycles
-                    adj += nominal_cycles
-                ctr.instructions = si
-                ctr.int_rf_accesses = sr
-                ctr.fp_rf_accesses = sf
-                ctr.cycles = cyc
-                ctr.adjusted_cycles = adj
-                procs[c].advance(float(k))
+            with sec_power:
+                for c in range(n_cores):
+                    ctr = procs[c].counters
+                    ic = instr_cols[c].tolist()
+                    rc = int_rf_cols[c].tolist()
+                    fc = fp_rf_cols[c].tolist()
+                    si = ctr.instructions
+                    sr = ctr.int_rf_accesses
+                    sf = ctr.fp_rf_accesses
+                    cyc = ctr.cycles
+                    adj = ctr.adjusted_cycles
+                    for j in range(k):
+                        si += ic[j]
+                        sr += rc[j]
+                        sf += fc[j]
+                        cyc += nominal_cycles
+                        adj += nominal_cycles
+                    ctr.instructions = si
+                    ctr.int_rf_accesses = sr
+                    ctr.fp_rf_accesses = sf
+                    ctr.cycles = cyc
+                    ctr.adjusted_cycles = adj
+                    procs[c].advance(float(k))
 
         thermal.temperatures = temps
+
+    def _emit_emergency_edge(
+        self, events: RunEventLog, t: float, max_temp: float
+    ) -> None:
+        """Emit ``emergency-enter``/``-exit`` if step ``t`` crossed the envelope.
+
+        Both step loops call it after each step's thermal update with
+        that step's start time and its hottest block temperature.
+        """
+        emergency = max_temp > self.config.threshold_c + EMERGENCY_TOLERANCE_C
+        if emergency and not self._in_emergency:
+            events.emit(t, "emergency-enter", temp_c=float(max_temp))
+        elif self._in_emergency and not emergency:
+            events.emit(t, "emergency-exit", temp_c=float(max_temp))
+        self._in_emergency = emergency
 
     def _emit_stopgo_events(
         self,

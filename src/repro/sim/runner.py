@@ -815,9 +815,9 @@ def _run_scalar(
     simulation and, beneath it, the engine step profiler's section
     totals as leaf spans; the finished spans travel back with the result
     for the parent process to merge. Without a parent the point runs
-    unprofiled under :data:`NULL_TRACER`, so the engine keeps its fused
-    path. Tracing only reads clocks: the result is bit-identical either
-    way and never reflects the trace.
+    unprofiled under :data:`NULL_TRACER`. Tracing only reads clocks: the
+    path, and the result bit for bit, are the same either way and never
+    reflect the trace.
     """
     recorder = SpanRecorder() if parent is not None else NULL_TRACER
     profiler = StepProfiler() if parent is not None else None
@@ -946,7 +946,7 @@ class ParallelRunner:
             :data:`NULL_TRACER`, which records nothing and costs nothing.
             Tracing never changes results, cache keys or the plan.
             Traced scalar points run with the engine step profiler
-            attached, which steps them instead of fusing them; fleet
+            attached, on the path their untraced twins take; fleet
             members are not profiled.
 
     Determinism: each simulation derives every random stream from its own

@@ -150,9 +150,14 @@ class MachineConfig:
         return self.clock_hz * self.dvfs.min_frequency_scale
 
 
+#: The paper's machine, one frozen instance that every default (engine
+#: config, trace) shares, so memos keyed by its id hit.
+DEFAULT_MACHINE = MachineConfig()
+
+
 def default_machine_config() -> MachineConfig:
     """The paper's 4-core, 3.6 GHz, 90 nm configuration."""
-    return MachineConfig()
+    return DEFAULT_MACHINE
 
 
 def mobile_machine_config() -> MachineConfig:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.uarch.benchmarks import BenchmarkProfile, get_benchmark
-from repro.uarch.config import MachineConfig
+from repro.uarch.config import DEFAULT_MACHINE, MachineConfig
 from repro.uarch.interval_model import simulate_intervals
 from repro.uarch.power import PowerModel
 from repro.uarch.trace import PowerTrace
@@ -69,7 +69,8 @@ def generate_trace(
     profile = (
         benchmark if isinstance(benchmark, BenchmarkProfile) else get_benchmark(benchmark)
     )
-    config = config or MachineConfig()
+    if config is None:
+        config = DEFAULT_MACHINE
     if not duration_s > 0:
         raise ValueError(f"duration_s must be positive: {duration_s}")
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.control import pi
 from repro.control.pi import (
     MAX_FREQUENCY_SCALE,
     MIN_FREQUENCY_SCALE,
@@ -40,6 +41,22 @@ class TestDesign:
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
             design_pi(1.0, 1.0, 0.0)
+
+    def test_equal_arguments_share_one_design(self, monkeypatch):
+        monkeypatch.setattr(pi, "_DESIGNS", {})
+        first = design_pi(PAPER_KP, PAPER_KI, PAPER_DT)
+        assert design_pi(PAPER_KP, PAPER_KI, PAPER_DT) is first
+        # Ints key as the floats they equal.
+        assert design_pi(1, 2, 1e-3) is design_pi(1.0, 2.0, 1e-3)
+        assert design_pi(PAPER_KP, PAPER_KI, PAPER_DT, "tustin") is not first
+        assert len(pi._DESIGNS) == 3
+
+    def test_design_table_keeps_its_bound(self, monkeypatch):
+        monkeypatch.setattr(pi, "_DESIGNS", {})
+        for i in range(pi.DESIGN_TABLE_SIZE + 5):
+            design_pi(1.0 + i, 1.0, 1e-3)
+        assert len(pi._DESIGNS) == pi.DESIGN_TABLE_SIZE
+        assert (1.0, 1.0, 1e-3, "euler") not in pi._DESIGNS
 
 
 class TestControllerBasics:

@@ -37,6 +37,24 @@ class TestPeriodicTimer:
         t.reset(12e-3)
         assert t.next_fire_s == pytest.approx(22e-3)
 
+    @pytest.mark.parametrize(
+        "period,dt",
+        [(10e-3, 100_000 / 3.6e9), (1e-3, 1e-4), (2.5e-4, 1e-4), (1e-5, 1e-4)],
+    )
+    def test_next_due_step_names_the_steps_per_step_polling_fires(
+        self, period, dt
+    ):
+        polled = PeriodicTimer(period)
+        every = [s for s in range(2000) if polled.fire_due(s * dt)]
+        jumping = PeriodicTimer(period)
+        named = []
+        step = jumping.next_due_step(dt)
+        while step < 2000:
+            assert jumping.fire_due(step * dt)
+            named.append(step)
+            step = jumping.next_due_step(dt, step + 1)
+        assert named == every
+
     def test_default_period_is_10ms(self):
         assert DEFAULT_MIGRATION_PERIOD_S == pytest.approx(10e-3)
 

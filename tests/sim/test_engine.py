@@ -57,6 +57,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="core_sizes_mm must be finite"):
             SimulationConfig(core_sizes_mm=(4.0, 4.0, 4.0, float("inf")))
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, False, "1", None])
+    def test_seed_must_be_a_plain_int(self, seed):
+        """A float or bool seed would run seed 1's streams under a
+        different cache key."""
+        with pytest.raises(ValueError, match="seed must be an int"):
+            SimulationConfig(seed=seed)
+
+    def test_int_seeds_accepted(self):
+        assert SimulationConfig(seed=0).seed == 0
+        assert SimulationConfig(seed=-3).seed == -3
+
     def test_finite_extremes_still_accepted(self):
         SimulationConfig(threshold_c=-40.0, sensor_offset_c=-5.0)
         SimulationConfig(threshold_c=1e6, power_scale=1e-9)

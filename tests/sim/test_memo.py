@@ -21,7 +21,7 @@ from repro.sim.engine import SimulationConfig, run_workload
 from repro.sim.workloads import get_workload
 from repro.uarch import tracegen
 from repro.uarch.benchmarks import get_benchmark
-from repro.uarch.config import CoreConfig, MachineConfig
+from repro.uarch.config import CoreConfig, MachineConfig, default_machine_config
 from repro.uarch.tracegen import TRACE_CACHE_SIZE, generate_trace
 from repro.util.memo import remember
 
@@ -105,6 +105,21 @@ class TestOrderIndependence:
             variant, generate_trace(slow, duration_s=0.002, use_cache=False)
         )
         assert not np.array_equal(variant.instructions, registered.instructions)
+
+
+class TestDefaultMachine:
+    def test_default_machine_calls_leave_one_identity_entry(self, empty_memo):
+        """Every default shares one machine object, so repeated calls
+        without a machine hit the identity probe instead of pinning a
+        fresh machine each."""
+        first = generate_trace("gzip", duration_s=0.001)
+        for _ in range(99):
+            assert generate_trace("gzip", duration_s=0.001) is first
+        assert len(empty_memo._TRACE_IDS) == 1
+        assert len(empty_memo._TRACE_CACHE) == 1
+
+    def test_engine_default_is_the_trace_default(self):
+        assert SimulationConfig().machine is default_machine_config()
 
 
 class TestBound:
