@@ -613,21 +613,31 @@ class ThermalTimingSimulator:
         window = self._window
         record_step = metrics.record_step
         process_on = self.scheduler.process_on
-        # Each trace's scalar columns as Python lists, built for this run
-        # only: list indexing hands back a float directly, several times
-        # cheaper than numpy 0-d extraction, and a Python float is the
-        # same number as the float64 it came from.
-        columns = {
-            p.pid: (
-                int(p.trace.n_samples),
-                p.trace.unit_power,
-                p.trace.l2_activity.tolist(),
-                p.trace.instructions.tolist(),
-                p.trace.int_rf_accesses.tolist(),
-                p.trace.fp_rf_accesses.tolist(),
+        # Each trace's scalar columns as Python lists over the window this
+        # run can reach, built for this run only: list indexing hands back
+        # a float directly, several times cheaper than numpy 0-d
+        # extraction, and a Python float is the same number as the
+        # float64 it came from. The window holds the samples from ``base
+        # = int(position)`` on, modulo the trace length. A position
+        # advances at most one sample per step, and its float sum can
+        # round up onto the next whole sample, so after ``k`` steps it
+        # reads at most row ``k + 1`` and a run reads rows ``0 ..
+        # n_steps``; a read past the window raises IndexError.
+        columns = {}
+        for p in self.scheduler.processes:
+            tr = p.trace
+            n_samples = int(tr.n_samples)
+            base = int(p.position)
+            rows = (base + np.arange(min(n_steps + 1, n_samples))) % n_samples
+            columns[p.pid] = (
+                base,
+                n_samples,
+                tr.unit_power[rows],
+                tr.l2_activity[rows].tolist(),
+                tr.instructions[rows].tolist(),
+                tr.int_rf_accesses[rows].tolist(),
+                tr.fp_rf_accesses[rows].tolist(),
             )
-            for p in self.scheduler.processes
-        }
         actuators = self.actuators
         # Core -> process binding changes only when a migration executes,
         # which only happens inside _os_tick — refreshed there below.
@@ -773,10 +783,11 @@ class ThermalTimingSimulator:
                 total_l2_act = 0.0
                 for c in core_range:
                     proc = procs[c]
-                    n_samples, unit_power, l2_col, instr_col, int_col, fp_col = (
-                        core_cols[c]
-                    )
-                    idx = int(proc.position) % n_samples
+                    (
+                        base, n_samples, unit_power,
+                        l2_col, instr_col, int_col, fp_col,
+                    ) = core_cols[c]
+                    idx = (int(proc.position) - base) % n_samples
 
                     guard_scale = (
                         guards.override(c, t) if guards is not None else None
@@ -928,14 +939,15 @@ class ThermalTimingSimulator:
         are bit-identical (asserted by ``tests/sim/test_fusion.py``).
 
         Observers read the recursion between spans of steps. A span ends
-        where one is due: a telemetry sample, an OS tick (with an event
+        where one is due: a telemetry sample or an OS tick (with an event
         log or profiler attached; it runs the stepwise loop's
-        :meth:`_os_tick`) or, with an event log, every step, whose
-        emergency edge it checks. They run there in the stepwise loop's
-        order and see the same values. A profiler is charged ``power``
-        for chunk assembly and counter folds, ``thermal-step`` for the
-        recursion and ``os-tick`` for ticks. Unobserved, a span is a
-        whole chunk.
+        :meth:`_os_tick`), or at the chunk end. With an event log, a span
+        keeps each step's chip maximum, and after it the emergency edges
+        of its steps are checked from those, before the observers due at
+        its end run. They run in the stepwise loop's order and see the
+        same values. A profiler is charged ``power`` for chunk assembly
+        and counter folds, ``thermal-step`` for the recursion and
+        ``os-tick`` for ticks. Unobserved, a span is a whole chunk.
         """
         cfg = self.config
         dt = self.dt
@@ -975,24 +987,25 @@ class ThermalTimingSimulator:
         ticking = events is not None or self.profiler is not None
         tick_due = timer.next_due_step(dt) if ticking else never
 
-        def observe(done: int, temps: np.ndarray, max_temp: float) -> int:
+        def observe(done: int, temps: np.ndarray) -> int:
             """Serve the observers due after ``done`` steps -> next stop."""
             nonlocal tel_due, tick_due
             if done == tel_due:
                 telemetry.sample(done * dt, temps, tel_scales, metrics)
                 tel_due += tel_stride
-            if events is not None and done:
-                self._emit_emergency_edge(events, (done - 1) * dt, max_temp)
             if done == tick_due and done < n_steps:
                 t = done * dt
                 timer.fire_due(t)  # true here by next_due_step's contract
                 with sec_os_tick:
                     self._os_tick(t, None)
                 tick_due = timer.next_due_step(dt, done + 1)
-            return min(tel_due, tick_due, done + 1 if events is not None else never)
+            return min(tel_due, tick_due)
 
+        # Each step's chip maximum over the current span, for its
+        # emergency edges (kept only with an event log).
+        maxima: Optional[List[float]] = [] if events is not None else None
         temps = thermal.temperatures
-        stop = observe(0, temps, math.nan)
+        stop = observe(0, temps)
         chunk = 8192
         for start in range(0, n_steps, chunk):
             k = min(chunk, n_steps - start)
@@ -1038,9 +1051,15 @@ class ThermalTimingSimulator:
                             dt, core_work, core_stall, core_frozen,
                             instr_rows[j], max_temp,
                         )
+                        if maxima is not None:
+                            maxima.append(max_temp)
+                if maxima:
+                    for step, step_max in enumerate(maxima, start + i):
+                        self._emit_emergency_edge(events, step * dt, step_max)
+                    maxima.clear()
                 i = end
                 if start + i == stop:
-                    stop = observe(stop, temps, max_temp)
+                    stop = observe(stop, temps)
 
             # Fold per-process bookkeeping exactly as the stepwise loop
             # would: sequential adds per step, in step order.

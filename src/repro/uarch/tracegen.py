@@ -8,11 +8,12 @@ and machine by value: the same 22 traces back every policy and workload
 combination (the paper likewise generates each SimPoint trace once and
 reuses it across all experiments). It keeps the newest
 :data:`TRACE_CACHE_SIZE` traces, and an identity probe of as many
-entries finds them again without hashing the profile and machine.
+entries finds a live one again without hashing the profile and machine.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Optional
 
 from repro.uarch.benchmarks import BenchmarkProfile, get_benchmark
@@ -20,7 +21,7 @@ from repro.uarch.config import DEFAULT_MACHINE, MachineConfig
 from repro.uarch.interval_model import simulate_intervals
 from repro.uarch.power import PowerModel
 from repro.uarch.trace import PowerTrace
-from repro.util.memo import remember
+from repro.util.memo import forget, remember
 from repro.util.rng import DEFAULT_ROOT_SEED, RngStream
 
 #: Default full-speed trace length (seconds). The paper's traces are
@@ -35,9 +36,10 @@ TRACE_CACHE_SIZE = 64
 #: oldest first.
 _TRACE_CACHE: Dict[tuple, PowerTrace] = {}
 #: The same keyed by the profile's and machine's ids ``-> (profile,
-#: machine, trace)``: an entry pins its objects, so their ids cannot be
-#: reused, and may outlive its trace's memo entry (so at most twice
-#: :data:`TRACE_CACHE_SIZE` traces stay alive).
+#: machine, weak reference to the trace)``: an entry pins the profile and
+#: machine, so their ids cannot be reused, but not the trace, so the memo
+#: keeps at most :data:`TRACE_CACHE_SIZE` traces alive. An entry whose
+#: trace has died is replaced after the value-keyed lookup.
 _TRACE_IDS: Dict[tuple, tuple] = {}
 
 
@@ -79,12 +81,17 @@ def generate_trace(
     ident = (id(profile), id(config), duration_s, seed, power_scale)
     hit = _TRACE_IDS.get(ident)
     if hit is not None:
-        return hit[2]
+        trace = hit[2]()
+        if trace is not None:
+            return trace
+        forget(_TRACE_IDS, ident, hit)
     key = (profile, config, duration_s, seed, power_scale)
     trace = _TRACE_CACHE.get(key)
     if trace is None:
         trace = remember(_TRACE_CACHE, key, _build_trace(*key), TRACE_CACHE_SIZE)
-    remember(_TRACE_IDS, ident, (profile, config, trace), TRACE_CACHE_SIZE)
+    remember(
+        _TRACE_IDS, ident, (profile, config, weakref.ref(trace)), TRACE_CACHE_SIZE
+    )
     return trace
 
 

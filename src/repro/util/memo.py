@@ -1,7 +1,8 @@
 """The one store of every process-wide memo table: an exact key, a
 module-constant bound, the oldest entry out first, the first stored value
 kept. Readers look up without the lock, and a writer builds its value
-before it takes the lock to store it.
+before it takes the lock to store it (or to drop an entry that has gone
+stale).
 """
 
 from __future__ import annotations
@@ -26,3 +27,11 @@ def remember(table: Dict, key, value: V, bound: int) -> V:
             del table[next(iter(table))]
         table[key] = value
     return value
+
+
+def forget(table: Dict, key, value) -> None:
+    """Drop ``key`` from ``table`` if it still holds ``value``, so that a
+    stale entry can be replaced and a fresher one is kept."""
+    with _LOCK:
+        if table.get(key) is value:
+            del table[key]

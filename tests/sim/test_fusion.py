@@ -223,3 +223,44 @@ class TestObservedFusedRuns:
             assert set(fused_obs["profiler"].totals()) == set(
                 step_obs["profiler"].totals()
             )
+
+    def test_event_log_ends_spans_only_where_observers_are_due(self):
+        """With an event log alone, a span runs from one OS tick to the
+        next: the 10-20 ms span below crosses enter, exit and enter
+        again, and its edges still come out as the stepwise twin's."""
+
+        class SpanCounter(StepProfiler):
+            def __init__(self):
+                super().__init__()
+                self.entries = {}
+
+            def _record(self, name, elapsed):
+                self.entries[name] = self.entries.get(name, 0) + 1
+                super()._record(name, elapsed)
+
+        fused_log, step_log = RunEventLog(), RunEventLog()
+        counter = SpanCounter()
+        sim = ThermalTimingSimulator(
+            W1.benchmarks, None, EDGES, event_log=fused_log, profiler=counter
+        )
+        sim.run()
+        ThermalTimingSimulator(
+            W1.benchmarks, None, replace(EDGES, fuse_steps=False),
+            event_log=step_log,
+        ).run()
+
+        assert sim.last_run_fused
+        stream = _stream(fused_log)
+        assert stream == _stream(step_log)
+        types = [event[1] for event in stream]
+        first = types.index("emergency-enter")
+        assert types[first - 1 : first + 4] == [
+            "os-tick",
+            "emergency-enter",
+            "emergency-exit",
+            "emergency-enter",
+            "os-tick",
+        ]
+        # One span per OS-tick interval: four ticks make five spans.
+        assert types.count("os-tick") == 4
+        assert counter.entries["thermal-step"] == 5

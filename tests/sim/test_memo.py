@@ -7,8 +7,10 @@ on what ran before it in the process, and a served sweep over a trace
 ingredient cannot grow the process past the memo's bound.
 """
 
+import gc
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 
@@ -151,6 +153,41 @@ class TestBound:
             generate_trace(profile, config.machine, 0.002, seed=0),
             generate_trace(
                 profile, config.machine, 0.002, seed=0, use_cache=False
+            ),
+        )
+
+    def test_identity_entries_do_not_keep_evicted_traces_alive(self, empty_memo):
+        """Twice the bound of distinct traces leave at most the bound
+        alive. After each build, the oldest memoised trace is asked for
+        through an equal machine copy, which adds an identity entry that
+        outlives the trace's memo entry; a strong entry kept 95 alive."""
+        machine = default_machine_config()
+        copy = replace(machine)
+        refs = []
+        for seed in range(2 * TRACE_CACHE_SIZE):
+            refs.append(
+                weakref.ref(generate_trace("gzip", machine, 0.001, seed=seed))
+            )
+            if seed >= TRACE_CACHE_SIZE - 1:
+                generate_trace(
+                    "gzip", copy, 0.001, seed=seed - TRACE_CACHE_SIZE + 1
+                )
+        gc.collect()
+        alive = [seed for seed, ref in enumerate(refs) if ref() is not None]
+        assert alive == list(range(TRACE_CACHE_SIZE, 2 * TRACE_CACHE_SIZE))
+        assert len(empty_memo._TRACE_IDS) == TRACE_CACHE_SIZE
+
+        # A dead identity entry falls back to the value-keyed lookup and
+        # is replaced by a live one.
+        rebuilt = generate_trace("gzip", copy, 0.001, seed=TRACE_CACHE_SIZE - 1)
+        assert generate_trace(
+            "gzip", copy, 0.001, seed=TRACE_CACHE_SIZE - 1
+        ) is rebuilt
+        assert_same_trace(
+            rebuilt,
+            generate_trace(
+                "gzip", machine, 0.001, seed=TRACE_CACHE_SIZE - 1,
+                use_cache=False,
             ),
         )
 
