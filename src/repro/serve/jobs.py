@@ -22,7 +22,7 @@ import heapq
 import itertools
 import time
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.obs.tracing import (
     KIND_REQUEST,
@@ -57,7 +57,7 @@ class Job:
         "id", "request", "state", "submitted_at", "started_at",
         "finished_at", "payload", "error", "attempts", "cache_hits",
         "cancel_requested", "finished", "trace", "spans",
-        "queue_depth_at_submit",
+        "queue_depth_at_submit", "on_finish",
     )
 
     def __init__(self, job_id: str, request: JobRequest):
@@ -84,6 +84,9 @@ class Job:
         #: Set once the job reaches a terminal state; ``/run`` and the
         #: drain path await it.
         self.finished = asyncio.Event()
+        #: Called with the job once it reaches a terminal state (the
+        #: owning :class:`JobStore` counts its finished jobs with it).
+        self.on_finish: Optional[Callable[["Job"], None]] = None
 
     @property
     def done(self) -> bool:
@@ -115,6 +118,8 @@ class Job:
                 )
             )
         self.finished.set()
+        if self.on_finish is not None:
+            self.on_finish(self)
 
     def status(self) -> Dict:
         """JSON-safe status document for the ``GET /jobs/<id>`` endpoint."""
@@ -241,7 +246,9 @@ class JobStore:
     Bounded: once more than ``max_finished`` jobs have reached a
     terminal state, the oldest finished jobs are forgotten (their ids
     404 afterwards) so a long-lived server's memory stays flat. Live
-    jobs are never evicted.
+    jobs are never evicted. The store keeps its finished ids in
+    finishing order, so pruning at each :meth:`create` costs O(1)
+    amortised, not a pass over every retained job.
     """
 
     def __init__(self, max_finished: int = 4096):
@@ -250,6 +257,8 @@ class JobStore:
             raise ValueError(f"max_finished must be >= 1: {max_finished}")
         self.max_finished = max_finished
         self._jobs: "OrderedDict[str, Job]" = OrderedDict()
+        #: Ids of the retained finished jobs, oldest finished first.
+        self._finished: "OrderedDict[str, None]" = OrderedDict()
         self._counter = itertools.count(1)
 
     def __len__(self) -> int:
@@ -259,6 +268,7 @@ class JobStore:
     def create(self, request: JobRequest) -> Job:
         """Mint a new job with a fresh id."""
         job = Job(f"job-{next(self._counter):06d}", request)
+        job.on_finish = self._finish
         self._jobs[job.id] = job
         self._prune()
         return job
@@ -274,12 +284,10 @@ class JobStore:
             counts[job.state.value] = counts.get(job.state.value, 0) + 1
         return counts
 
+    def _finish(self, job: Job) -> None:
+        self._finished[job.id] = None
+
     def _prune(self) -> None:
-        finished = sum(1 for j in self._jobs.values() if j.done)
-        if finished <= self.max_finished:
-            return
-        for job_id in [jid for jid, j in self._jobs.items() if j.done]:
-            if finished <= self.max_finished:
-                break
+        while len(self._finished) > self.max_finished:
+            job_id, _ = self._finished.popitem(last=False)
             del self._jobs[job_id]
-            finished -= 1

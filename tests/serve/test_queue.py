@@ -160,6 +160,28 @@ class TestJobStore:
         assert store.get(finished[0].id) is None
         assert store.get(live.id) is live
 
+    def test_pruning_follows_finishing_order(self):
+        store = JobStore(max_finished=2)
+        early, late = (store.create(JobRequest.parse({})) for _ in range(2))
+        late.finish(JobState.DONE)
+        early.finish(JobState.DONE)
+        store.create(JobRequest.parse({})).finish(JobState.DONE)
+        store.create(JobRequest.parse({}))
+        # ``late`` finished first, so it goes first, though created last.
+        assert store.get(late.id) is None
+        assert store.get(early.id) is early
+
+    def test_retained_jobs_stay_bounded(self):
+        store = JobStore(max_finished=8)
+        live = store.create(JobRequest.parse({}))
+        for _ in range(100):
+            store.create(JobRequest.parse({})).finish(JobState.CANCELLED)
+        store.create(JobRequest.parse({}))
+        # 8 finished, the first live job and the last one created.
+        assert len(store) == 10
+        assert store.get(live.id) is live
+        assert store.states() == {"queued": 2, "cancelled": 8}
+
     def test_states_census(self):
         store = JobStore()
         store.create(JobRequest.parse({}))
